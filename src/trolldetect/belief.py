@@ -13,16 +13,14 @@ cardinality are then single bit operations.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     DuplicateSubset,
     FrameMismatch,
     InvalidSubset,
     NegativeMass,
+    NonFiniteMass,
     SumNotOne,
     TotalConflict,
 )
@@ -48,20 +46,14 @@ INTERNAL_TOLERANCE = 1e-12
 
 MAX_FRAME_SIZE = 16
 
-# Largest frame for which the dense 2^n x 2^n similarity matrix is
-# materialized; above this the matrix would exceed ~128 MiB.
-_DENSE_MATRIX_LIMIT = 12
-
 
 class Frame:
     """An ordered frame of discernment: named, mutually exclusive hypotheses.
 
-    Immutable after construction and safe to share between threads.  The
-    dense Jaccard similarity matrix over the power set is built lazily,
-    exactly once, under a lock (see :meth:`jaccard_matrix`).
+    Immutable after construction and safe to share between threads.
     """
 
-    __slots__ = ("_labels", "_positions", "_matrix", "_matrix_lock")
+    __slots__ = ("_labels", "_positions")
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(labels)
@@ -80,8 +72,6 @@ class Frame:
             positions[label] = i
         self._labels = labels
         self._positions = positions
-        self._matrix: np.ndarray | None = None
-        self._matrix_lock = threading.Lock()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -139,31 +129,6 @@ class Frame:
         """All subset masks, empty set through full frame."""
         return range(self.full_set + 1)
 
-    def jaccard_matrix(self) -> np.ndarray:
-        """Dense Jaccard similarity matrix over the whole power set.
-
-        Entry ``[a, b]`` is ``jaccard(a, b)``.  Built on first use and
-        cached; initialization is guarded so concurrent callers observe a
-        single, fully-built matrix.  Only available for frames of at most
-        12 hypotheses (the matrix has 4^n entries).
-        """
-        if self._matrix is not None:
-            return self._matrix
-        if len(self._labels) > _DENSE_MATRIX_LIMIT:
-            raise ValueError(
-                f"dense Jaccard matrix not materialized for frames larger "
-                f"than {_DENSE_MATRIX_LIMIT} hypotheses"
-            )
-        with self._matrix_lock:
-            if self._matrix is None:
-                size = self.full_set + 1
-                matrix = np.empty((size, size), dtype=float)
-                for a in range(size):
-                    for b in range(a, size):
-                        matrix[a, b] = matrix[b, a] = jaccard(a, b)
-                self._matrix = matrix
-        return self._matrix
-
 
 class MassFunction:
     """A basic belief assignment: positive masses on subsets, summing to one.
@@ -173,8 +138,11 @@ class MassFunction:
 
     ``assignments`` may be a mapping from subset masks to masses or an
     iterable of ``(subset, mass)`` pairs.  Validation raises
-    :class:`InvalidSubset`, :class:`NegativeMass`, :class:`DuplicateSubset`
-    or :class:`SumNotOne`; masses are checked, never renormalized.
+    :class:`InvalidSubset`, :class:`NonFiniteMass`, :class:`NegativeMass`,
+    :class:`DuplicateSubset` or :class:`SumNotOne`; masses are checked,
+    never renormalized.  Finite, non-negative masses summing to one leave
+    at least one focal element, so an empty assignment is a
+    :class:`SumNotOne`.
     """
 
     __slots__ = ("_frame", "_masses")
@@ -189,6 +157,8 @@ class MassFunction:
         masses: dict[int, float] = {}
         for subset, mass in assignments:
             frame.check_subset(subset)
+            if not math.isfinite(mass):
+                raise NonFiniteMass(f"mass {mass!r} on subset {subset:#b}")
             if mass < 0.0:
                 raise NegativeMass(f"mass {mass!r} on subset {subset:#b}")
             if subset in masses:

@@ -9,6 +9,10 @@ class InvalidSubset(BeliefError):
     """A subset mask or label does not belong to the frame."""
 
 
+class NonFiniteMass(BeliefError):
+    """A mass assignment carries NaN or an infinity."""
+
+
 class NegativeMass(BeliefError):
     """A mass assignment carries a negative value."""
 

@@ -3,23 +3,30 @@
 Three levels of aggregation:
 
 * a message against one other user: mean conflict with that user's
-  earlier messages;
-* a message against everyone else: mean over the other users, weighted by
-  how many earlier messages each contributed (a message with no earlier
-  messages from other users scores 0);
+  earlier messages (:func:`message_conflict_per_user`, a per-user
+  diagnostic);
+* a message against everyone else: the per-user means weighted by how
+  many earlier messages each user contributed.  With ``n_u`` earlier
+  messages of conflict sum ``S_u`` per user and ``N = sum n_u``, that is
+  ``sum (n_u / N) (S_u / n_u) = sum S_u / N``: the flat mean of conflict
+  over every earlier message by another author (0 when there is none);
 * a user: plain mean over all of the user's messages, unopposed first
   posts included in the divisor.
 
-``analyze`` runs all three, clusters the per-user scores into two groups
-and labels the higher-centered group as trolls.
+``analyze``, ``message_conflict`` and ``user_conflict`` all score messages
+through one vectorised kernel (numpy, imported on first use), so they
+agree exactly.  ``analyze`` then clusters the per-user scores into two
+groups and labels the higher-centered group as trolls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import fsum
 from typing import Any
 
+from .belief import INTERNAL_TOLERANCE
 from .clustering import kmeans2
 from .conflict import conflict
 from .errors import NoPriorMessages, SameUser, UnknownUser
@@ -76,34 +83,19 @@ def message_conflict_per_user(thread: Thread, rank: int, user: str) -> float:
 
 def message_conflict(thread: Thread, rank: int) -> float:
     """Conflict of the message at ``rank`` against all earlier messages by
-    other users, weighted per user by how many of those messages they posted.
+    other users: the flat mean over those messages, which equals the
+    per-user means weighted by how many of those messages each user posted.
 
     Returns 0 for a message with no earlier messages from other users.
     """
-    msg = thread.message(rank)
-    prior_total = sum(
-        1 for m in thread.messages[: rank - 1] if m.author != msg.author
-    )
-    if prior_total == 0:
-        return 0.0
-    result = 0.0
-    for user in thread.users:
-        if user == msg.author:
-            continue
-        prior_count = sum(
-            1 for m in thread.messages[: rank - 1] if m.author == user
-        )
-        if prior_count == 0:
-            continue
-        weight = prior_count / prior_total
-        result += weight * message_conflict_per_user(thread, rank, user)
-    return result
+    thread.message(rank)  # RankOutOfBounds before a bad rank can index
+    return _score_rows(thread, (rank,))[0]
 
 
 def user_conflict(thread: Thread, user: str) -> float:
     """Mean conflict over all of a user's messages."""
     ranks = thread.ranks_by(user)
-    return fsum(message_conflict(thread, r) for r in ranks) / len(ranks)
+    return fsum(_score_rows(thread, ranks)) / len(ranks)
 
 
 def analyze(thread: Thread) -> ConflictReport:
@@ -113,9 +105,7 @@ def analyze(thread: Thread) -> ConflictReport:
     roster order.  Propagates :class:`~trolldetect.errors.Degenerate` when
     the per-user scores cannot be split (for example, all identical).
     """
-    per_message = tuple(
-        message_conflict(thread, rank) for rank in range(1, len(thread.messages) + 1)
-    )
+    per_message = tuple(_score_rows(thread, range(1, len(thread.messages) + 1)))
     per_user = {}
     for user in thread.users:
         ranks = thread.ranks_by(user)
@@ -129,3 +119,74 @@ def analyze(thread: Thread) -> ConflictReport:
         troll_center=split.center_high,
         other_center=split.center_low,
     )
+
+
+# Upper bound on the entries of one (pairs, slots, slots) temporary in
+# ``_score_rows``; longer rows are scored in blocks of earlier messages.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _score_rows(thread: Thread, ranks: Iterable[int]) -> list[float]:
+    """Flat-mean conflict of each message at ``ranks`` (see
+    :func:`message_conflict`), the one scoring path of this module.
+
+    The thread is packed once into slot arrays: row ``i`` holds message
+    ``i``'s focal sets as bitmasks and their masses, padded with mask 0
+    and mass 0 up to the largest focal count.  A slot is live when its
+    mass is positive, which tells a genuine empty focal set from padding.
+    Each row is then scored against the earlier messages by other authors
+    with the same arithmetic as :func:`~trolldetect.conflict.conflict`:
+    the mass difference is formed on the union of focal sets before the
+    Jaccard-weighted quadratic form, so identical bbas give exactly 0.
+    Thread validation already guarantees a single frame.
+    """
+    import numpy as np
+
+    messages = thread.messages
+    width = max(len(m.bba) for m in messages)
+    masks = np.array(
+        [list(m.bba.focal_sets()) + [0] * (width - len(m.bba)) for m in messages],
+        dtype=np.int64,
+    )
+    masses = np.array(
+        [[v for _, v in m.bba.items()] + [0.0] * (width - len(m.bba)) for m in messages]
+    )
+    live = masses > 0.0
+    counts = live.sum(axis=1)
+    roster = {user: k for k, user in enumerate(thread.users)}
+    authors = np.array([roster[m.author] for m in messages])
+    block = max(1, _BLOCK_ENTRIES // (4 * width * width))
+
+    scores = []
+    for rank in ranks:
+        i = rank - 1
+        x, a = masks[i], masses[i]
+        earlier = np.flatnonzero(authors[:i] != authors[i])
+        conflicts = []
+        for start in range(0, earlier.size, block):
+            rows = earlier[start : start + block]
+            y, b = masks[rows], masses[rows]
+            pairs = live[i][:, None] & live[rows][:, None, :]
+            meet = x[:, None] & y[:, None, :]
+            x_in_y = ((meet == x[:, None]) & pairs).sum(axis=(1, 2))
+            y_in_x = ((meet == y[:, None, :]) & pairs).sum(axis=(1, 2))
+            nested = np.maximum(x_in_y, y_in_x) / (counts[i] * counts[rows])
+
+            # A focal set shared by both bbas keeps one entry, a - b.
+            shared = (x[:, None] == y[:, None, :]) & pairs
+            delta = np.concatenate(
+                [a - (shared * b[:, None, :]).sum(axis=2),
+                 np.where(shared.any(axis=1), 0.0, -b)],
+                axis=1,
+            )
+            sets = np.concatenate([np.broadcast_to(x, y.shape), y], axis=1)
+            inter = np.bitwise_count(sets[:, :, None] & sets[:, None, :])
+            union = np.bitwise_count(sets[:, :, None] | sets[:, None, :])
+            similarity = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+            squared = 0.5 * np.einsum("ps,pst,pt->p", delta, similarity, delta)
+            if (squared < -INTERNAL_TOLERANCE).any():
+                raise ArithmeticError("quadratic form went negative; inputs are corrupt")
+            distance = np.sqrt(np.maximum(squared, 0.0))
+            conflicts += ((1.0 - nested) * distance).tolist()
+        scores.append(fsum(conflicts) / len(conflicts) if conflicts else 0.0)
+    return scores

@@ -211,7 +211,13 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
                 isinstance(mass, (int, float)) and not isinstance(mass, bool),
                 f"message {i}: bba entry {j}: 'mass' must be a number",
             )
-            assignments.append((frame.frame.subset(labels), float(mass)))
+            try:
+                mass = float(mass)
+            except OverflowError:  # an integer too large for a float
+                raise InvalidThread(
+                    f"message {i}: bba entry {j}: 'mass' is out of float range"
+                ) from None
+            assignments.append((frame.frame.subset(labels), mass))
         messages.append(
             Message(author=author, rank=rank, bba=MassFunction(frame.frame, assignments))
         )

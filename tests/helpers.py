@@ -31,7 +31,14 @@ def random_mass(
     return MassFunction(frame, [(s, w / total) for s, w in zip(subsets, weights)])
 
 
-def random_thread(rng: random.Random, max_users: int = 5, max_messages: int = 8) -> Thread:
+def random_thread(
+    rng: random.Random,
+    max_users: int = 5,
+    max_messages: int = 8,
+    max_topics: int = 3,
+    max_focal: int = 3,
+    allow_empty: bool = False,
+) -> Thread:
     user_count = rng.randint(2, max_users)
     users = tuple(f"U{i}" for i in range(1, user_count + 1))
     message_count = rng.randint(user_count, max_messages)
@@ -39,12 +46,14 @@ def random_thread(rng: random.Random, max_users: int = 5, max_messages: int = 8)
         rng.choice(users) for _ in range(message_count - user_count)
     ]
     rng.shuffle(authors)
-    frame = MessageFrame(topic_count=rng.randint(1, 3), relevant_topic=1)
+    frame = MessageFrame(topic_count=rng.randint(1, max_topics), relevant_topic=1)
     messages = tuple(
         Message(
             author=author,
             rank=rank,
-            bba=random_mass(rng, frame.frame, max_focal=3),
+            bba=random_mass(
+                rng, frame.frame, allow_empty=allow_empty, max_focal=max_focal
+            ),
         )
         for rank, author in enumerate(authors, start=1)
     )

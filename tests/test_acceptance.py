@@ -5,11 +5,13 @@ line per criterion.  Tolerances are fixed here, not configurable.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from trolldetect import (
     MassFunction,
@@ -221,10 +223,19 @@ def test_criterion_8_robustness_sweep():
     finish(8, f"unpinned sweep identifies the troll in {hits}/100 runs", failures)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _run_cli(args, cwd):
+    # The child runs in ``cwd``, where a relative PYTHONPATH entry would
+    # no longer resolve; hand it the package source by absolute path.
+    pythonpath = [str(SRC)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
     return subprocess.run(
         [sys.executable, "-m", "trolldetect", *args],
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
         capture_output=True,
         timeout=60,
     )

@@ -2,9 +2,7 @@
 
 import math
 import random
-import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +21,7 @@ from trolldetect.errors import (
     FrameMismatch,
     InvalidSubset,
     NegativeMass,
+    NonFiniteMass,
     SumNotOne,
     TotalConflict,
 )
@@ -33,7 +32,8 @@ from oracles import (
     dense_dempster,
     dense_disjunctive,
     dense_vector,
-    set_jaccard_matrix,
+    mask_members,
+    set_jaccard,
 )
 
 AB = Frame(["a", "b"])
@@ -106,6 +106,19 @@ class TestMassFunction:
     def test_negative_mass_rejected(self):
         with pytest.raises(NegativeMass):
             MassFunction(AB, [(A, -0.1), (OMEGA, 1.1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(NonFiniteMass):
+            MassFunction(AB, [(A, bad)])
+        with pytest.raises(NonFiniteMass):
+            MassFunction(AB, [(A, 1.0), (B, bad)])
+
+    def test_empty_assignment_rejected(self):
+        with pytest.raises(SumNotOne):
+            MassFunction(AB, [])
+        with pytest.raises(SumNotOne):
+            MassFunction(AB, {A: 0.0})
 
     def test_duplicate_subset_rejected(self):
         with pytest.raises(DuplicateSubset):
@@ -214,35 +227,14 @@ class TestJaccard:
         assert jaccard(0, A) == 0.0
         assert jaccard(A, 0) == 0.0
 
-    def test_matrix_matches_set_oracle(self):
+    def test_scalar_matches_set_oracle(self):
         frame = make_frame(3)
-        expected = set_jaccard_matrix(frame.labels)
-        assert np.array_equal(frame.jaccard_matrix(), expected)
-
-    def test_matrix_is_cached(self):
-        frame = make_frame(2)
-        assert frame.jaccard_matrix() is frame.jaccard_matrix()
-
-    def test_matrix_init_is_race_free(self):
-        frame = Frame([f"h{i}" for i in range(8)])
-        results = []
-        barrier = threading.Barrier(8)
-
-        def build():
-            barrier.wait()
-            results.append(frame.jaccard_matrix())
-
-        workers = [threading.Thread(target=build) for _ in range(8)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert all(r is results[0] for r in results)
-
-    def test_matrix_refused_for_large_frames(self):
-        frame = Frame([f"h{i}" for i in range(13)])
-        with pytest.raises(ValueError):
-            frame.jaccard_matrix()
+        for a in frame.subsets():
+            for b in frame.subsets():
+                expected = set_jaccard(
+                    mask_members(a, frame.labels), mask_members(b, frame.labels)
+                )
+                assert jaccard(a, b) == expected
 
 
 class TestJousselmeDistance:

@@ -181,6 +181,38 @@ class TestDetect:
         result = runner.invoke(main, ["detect", "--thread", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "bba",
+        [
+            [{"set": ["Topic_1"], "mass": float("nan")}],
+            [{"set": ["Topic_1"], "mass": 1.0}, {"set": ["Topic_2"], "mass": float("nan")}],
+            [{"set": ["Topic_1"], "mass": float("inf")}],
+            [{"set": ["Topic_1"], "mass": 10**400}],
+            [],
+        ],
+        ids=["nan-only", "nan-beside-one", "infinity", "huge-integer", "empty"],
+    )
+    def test_bad_bba_exits_2_without_traceback(self, runner, tmp_path, bba):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "topic_count": 2,
+                    "relevant_topic": 1,
+                    "users": ["U1", "U2"],
+                    "messages": [
+                        {"rank": 1, "author": "U1", "bba": [{"set": ["Topic_1"], "mass": 1.0}]},
+                        {"rank": 2, "author": "U2", "bba": bba},
+                    ],
+                }
+            )
+        )
+        result = runner.invoke(main, ["detect", "--thread", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not a valid thread" in result.output
+        assert "Traceback" not in result.output
+
     def test_rank_gap_is_validation_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

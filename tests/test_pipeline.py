@@ -1,6 +1,7 @@
 """Per-message and per-user conflict aggregation, and the full analysis."""
 
 import random
+from math import fsum
 
 import pytest
 
@@ -10,6 +11,7 @@ from trolldetect import (
     MessageFrame,
     Thread,
     analyze,
+    conflict,
     message_conflict,
     message_conflict_per_user,
     user_conflict,
@@ -22,7 +24,7 @@ from trolldetect.errors import (
     UnknownUser,
 )
 
-from helpers import random_thread
+from helpers import random_mass, random_thread
 from oracles import (
     naive_message_conflict,
     naive_message_conflict_per_user,
@@ -240,6 +242,76 @@ class TestAnalyze:
         )
         with pytest.raises(Degenerate):
             analyze(t)
+
+
+def scalar_flat_mean(thread, rank):
+    """Mean scalar conflict against every earlier message by another author."""
+    msg = thread.message(rank)
+    priors = [m for m in thread.messages[: rank - 1] if m.author != msg.author]
+    if not priors:
+        return 0.0
+    return fsum(conflict(msg.bba, p.bba) for p in priors) / len(priors)
+
+
+class TestScoringKernel:
+    """Shapes the seeded threads above never reach: frames up to 16
+    hypotheses, ragged focal counts (padding slots) and the empty set as a
+    genuine focal element (mask 0, like padding)."""
+
+    def test_wide_frames_match_scalar_conflict(self):
+        rng = random.Random(2024)
+        seen_topics, seen_counts, seen_empty = set(), set(), False
+        for _ in range(30):
+            t = random_thread(
+                rng, max_users=6, max_messages=14, max_topics=14,
+                max_focal=10, allow_empty=True,
+            )
+            seen_topics.add(t.frame.topic_count)
+            seen_counts.update(len(m.bba) for m in t.messages)
+            seen_empty |= any(0 in m.bba.focal_sets() for m in t.messages)
+            report = analyze(t)
+            for rank, got in enumerate(report.per_message, start=1):
+                assert got == pytest.approx(scalar_flat_mean(t, rank), abs=1e-12)
+        assert 14 in seen_topics
+        assert seen_counts == set(range(1, 11))
+        assert seen_empty
+
+    def test_small_frames_match_oracle(self):
+        rng = random.Random(2025)
+        for _ in range(30):
+            t = random_thread(
+                rng, max_users=4, max_messages=10, max_topics=2,
+                max_focal=8, allow_empty=True,
+            )
+            report = analyze(t)
+            for rank, got in enumerate(report.per_message, start=1):
+                assert got == pytest.approx(naive_message_conflict(t, rank), abs=1e-12)
+
+    def test_repeated_bba_scores_exactly_zero(self):
+        # Self-distance must come out exactly 0 on the kernel's path, for
+        # any bba: a Gram-style a.a - 2a.b + b.b leaves rounding residue.
+        wide = MessageFrame(topic_count=14, relevant_topic=1)
+        rng = random.Random(7)
+        authors = ["A", "B", "C", "A", "B", "B", "C", "A"]
+        for k in range(20):
+            bba = random_mass(rng, wide.frame, max_focal=10)
+            if k % 2:  # the empty set as a genuine focal element
+                bba = MassFunction(
+                    wide.frame, [(s, 0.5 * v) for s, v in bba.items()] + [(0, 0.5)]
+                )
+            t = Thread(
+                frame=wide,
+                users=("A", "B", "C"),
+                messages=tuple(
+                    Message(author=a, rank=r, bba=bba)
+                    for r, a in enumerate(authors, start=1)
+                ),
+            )
+            scores = [message_conflict(t, r) for r in range(1, len(authors) + 1)]
+            assert scores == [0.0] * len(authors)
+            assert [user_conflict(t, u) for u in t.users] == [0.0] * 3
+            with pytest.raises(Degenerate):
+                analyze(t)
 
 
 class TestVictimEffect:

@@ -16,6 +16,7 @@ from trolldetect import (
 )
 from trolldetect.errors import (
     InvalidThread,
+    NonFiniteMass,
     RankOutOfBounds,
     SumNotOne,
     UnknownUser,
@@ -171,6 +172,18 @@ class TestJsonFormat:
         doc = json.loads(json.dumps(SAMPLE))
         doc["messages"][1]["bba"][0]["mass"] = 0.9
         with pytest.raises(SumNotOne):
+            thread_from_dict(doc)
+
+    def test_huge_integer_mass_rejected(self):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["messages"][1]["bba"][0]["mass"] = 10**400
+        with pytest.raises(InvalidThread):
+            thread_from_dict(doc)
+
+    def test_nan_only_bba_rejected(self):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["messages"][1]["bba"] = [{"set": ["Topic_2"], "mass": float("nan")}]
+        with pytest.raises(NonFiniteMass):
             thread_from_dict(doc)
 
     def test_unknown_label_rejected(self):
