@@ -25,6 +25,12 @@ EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 
+# What reading a malformed file raises before any validation: bytes that
+# are not UTF-8 (UnicodeDecodeError) or not JSON (JSONDecodeError) are both
+# ValueErrors, and nesting deeper than the parser's recursion limit raises
+# RecursionError.
+_UNREADABLE = (ValueError, RecursionError)
+
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
@@ -36,7 +42,7 @@ def _load_thread_or_exit(path: str):
         return load_thread(path)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except _UNREADABLE as exc:
         _fail(EXIT_INVALID, f"{path} is not valid JSON: {exc}")
     except BeliefError as exc:
         _fail(EXIT_INVALID, f"{path} is not a valid thread: {exc}")
@@ -72,7 +78,7 @@ def simulate(scenario, spec_path, seed, out_path):
                 raw = json.load(fh)
         except OSError as exc:
             _fail(EXIT_IO, f"cannot read {spec_path}: {exc}")
-        except json.JSONDecodeError as exc:
+        except _UNREADABLE as exc:
             _fail(EXIT_INVALID, f"{spec_path} is not valid JSON: {exc}")
         try:
             spec = spec_from_dict(raw)

@@ -1,11 +1,13 @@
-"""Two-cluster k-means over one-dimensional score maps.
+"""Exact two-way split of one-dimensional score maps.
 
-Initialization scans every contiguous split of the sorted values and
-starts from the split with minimal within-cluster sum of squares; Lloyd's
-iteration then runs to convergence from those centers.  In one dimension
-with two clusters the optimal split is a stable fixed point of Lloyd's
-assignment rule, so the procedure is deterministic and lands on the
-optimum (a plain min/max initialization can stall in a local optimum).
+In one dimension the two-means partition with minimal within-cluster sum
+of squares is contiguous in sorted order, so one scan over the cuts of
+the sorted values finds it exactly (Wang & Song, "Ckmeans.1d.dp", R
+Journal 2011).  The scan runs on values shifted by their mean, so the
+prefix-sum cost ``sum(v^2) - (sum(v))^2 / n`` does not cancel when the
+spread is small next to the magnitude.  Each item is then assigned once
+to the nearer of the two split centers, which reproduces the optimal
+split, and the result is a fixed point of Lloyd's assignment rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import Degenerate
 
 __all__ = ["Partition2", "kmeans2"]
 
-_MAX_ITERATIONS = 100
 _SPREAD_EPS = 1e-12
 
 
@@ -31,18 +32,30 @@ class Partition2:
     low: frozenset[Hashable]
     center_high: float
     center_low: float
-    iterations: int
 
 
-def _best_split_centers(ordered_values: list[float]) -> tuple[float, float]:
-    """Cluster means of the minimal-WCSS contiguous split of sorted values.
+def kmeans2(values: Mapping[Hashable, float]) -> Partition2:
+    """Split items into a high-valued and a low-valued cluster.
 
-    Segment cost is sum(v^2) - (sum(v))^2 / len via prefix sums.  Exact
-    cost ties prefer the larger low cluster (fewer items labeled high).
+    Finds the contiguous cut of the sorted values with minimal
+    within-cluster sum of squares (exact cost ties prefer the larger low
+    cluster), assigns every item to the nearer of the two cut means
+    (items equidistant from both go low), and returns the means of the
+    two sides as centers.  Raises :class:`Degenerate` for fewer than two
+    items or when all values coincide within 1e-12.
     """
-    count = len(ordered_values)
-    sums = [0.0, *accumulate(ordered_values)]
-    squares = [0.0, *accumulate(v * v for v in ordered_values)]
+    items = list(values.items())
+    if len(items) < 2:
+        raise Degenerate("need at least two items to split")
+    ordered = sorted(v for _, v in items)
+    if ordered[-1] - ordered[0] <= _SPREAD_EPS:
+        raise Degenerate("all values are numerically identical")
+
+    count = len(ordered)
+    shift = fsum(ordered) / count
+    centred = [v - shift for v in ordered]
+    sums = [0.0, *accumulate(centred)]
+    squares = [0.0, *accumulate(c * c for c in centred)]
 
     def cost(start: int, stop: int) -> float:
         total = sums[stop] - sums[start]
@@ -57,49 +70,14 @@ def _best_split_centers(ordered_values: list[float]) -> tuple[float, float]:
             best_cut = cut
     low_mean = sums[best_cut] / best_cut
     high_mean = (sums[count] - sums[best_cut]) / (count - best_cut)
-    return low_mean, high_mean
 
-
-def kmeans2(values: Mapping[Hashable, float]) -> Partition2:
-    """Split items into a high-valued and a low-valued cluster.
-
-    Runs Lloyd's iteration until assignments stabilize (hard cap of 100
-    passes).  Items equidistant from both centers go to the low cluster.
-    Raises :class:`Degenerate` for fewer than two items or when all values
-    coincide within 1e-12.
-    """
-    items = list(values.items())
-    if len(items) < 2:
-        raise Degenerate("need at least two items to split")
-    lowest = min(v for _, v in items)
-    highest = max(v for _, v in items)
-    if highest - lowest <= _SPREAD_EPS:
-        raise Degenerate("all values are numerically identical")
-
-    center_low, center_high = _best_split_centers(sorted(v for _, v in items))
-    assignment: tuple[bool, ...] | None = None
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        new_assignment = tuple(
-            abs(v - center_high) < abs(v - center_low) for _, v in items
-        )
-        if new_assignment == assignment:
-            break
-        assignment = new_assignment
-        highs = [v for (_, v), is_high in zip(items, assignment) if is_high]
-        lows = [v for (_, v), is_high in zip(items, assignment) if not is_high]
-        if not highs or not lows:
-            # unreachable from an optimal-split start, guarded regardless
-            raise Degenerate("one cluster emptied during iteration")
-        center_high = fsum(highs) / len(highs)
-        center_low = fsum(lows) / len(lows)
-    else:
-        raise Degenerate(f"no stable assignment within {_MAX_ITERATIONS} passes")
-
-    assert assignment is not None
+    high, low = [], []
+    for key, v in items:
+        nearer_high = abs(v - shift - high_mean) < abs(v - shift - low_mean)
+        (high if nearer_high else low).append((key, v))
     return Partition2(
-        high=frozenset(k for (k, _), h in zip(items, assignment) if h),
-        low=frozenset(k for (k, _), h in zip(items, assignment) if not h),
-        center_high=center_high,
-        center_low=center_low,
-        iterations=iteration,
+        high=frozenset(k for k, _ in high),
+        low=frozenset(k for k, _ in low),
+        center_high=fsum(v for _, v in high) / len(high),
+        center_low=fsum(v for _, v in low) / len(low),
     )

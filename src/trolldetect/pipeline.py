@@ -106,10 +106,10 @@ def analyze(thread: Thread) -> ConflictReport:
     the per-user scores cannot be split (for example, all identical).
     """
     per_message = tuple(_score_rows(thread, range(1, len(thread.messages) + 1)))
-    per_user = {}
-    for user in thread.users:
-        ranks = thread.ranks_by(user)
-        per_user[user] = fsum(per_message[r - 1] for r in ranks) / len(ranks)
+    by_author: dict[str, list[float]] = {user: [] for user in thread.users}
+    for msg, score in zip(thread.messages, per_message):
+        by_author[msg.author].append(score)
+    per_user = {user: fsum(scores) / len(scores) for user, scores in by_author.items()}
     split = kmeans2(per_user)
     return ConflictReport(
         per_message=per_message,

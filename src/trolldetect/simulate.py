@@ -82,6 +82,9 @@ def _validate(spec: ScenarioSpec) -> MessageFrame:
     if not isinstance(spec.seed, int) or isinstance(spec.seed, bool):
         raise InvalidSpec(f"seed must be an integer, got {spec.seed!r}")
     ids = spec.user_ids()
+    for uid in ids:
+        if not isinstance(uid, str):
+            raise InvalidSpec(f"user ids must be strings, got {uid!r}")
     if len(ids) < 2:
         raise InvalidSpec("a scenario needs at least two users")
     if len(set(ids)) != len(ids):

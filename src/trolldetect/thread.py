@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,13 @@ __all__ = [
     "load_thread",
     "save_thread",
 ]
+
+# mkstemp creates files as 0600; output files get the mode that open()
+# gives a new file instead.  The umask can only be read by setting it, so
+# it is read once, at import.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_NEW_FILE_MODE = 0o666 & ~_UMASK
 
 OFF_TOPIC = "Off-topic"
 SENSELESS = "Senseless"
@@ -119,10 +127,12 @@ class Thread:
         if len(set(users)) != len(users):
             raise InvalidThread("duplicate user ids in roster")
         messages = tuple(sorted(self.messages, key=lambda m: m.rank))
-        ranks = [m.rank for m in messages]
-        if ranks != list(range(1, len(messages) + 1)):
+        misplaced = [(p, m.rank) for p, m in enumerate(messages, start=1) if m.rank != p]
+        if misplaced:
+            position, rank = misplaced[0]
             raise InvalidThread(
-                f"ranks must be exactly 1..{len(messages)} with no gaps, got {ranks}"
+                f"ranks must be exactly 1..{len(messages)} with no gaps: "
+                f"{len(misplaced)} out of place, first rank {rank} at position {position}"
             )
         roster = set(users)
         posted = set()
@@ -134,9 +144,11 @@ class Thread:
                     f"message {msg.rank} uses a different frame than the thread"
                 )
             posted.add(msg.author)
-        silent = roster - posted
+        silent = [u for u in users if u not in posted]
         if silent:
-            raise InvalidThread(f"users with no messages: {sorted(silent)}")
+            raise InvalidThread(
+                f"{len(silent)} users with no messages, first {silent[0]!r}"
+            )
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "messages", messages)
 
@@ -258,13 +270,21 @@ def save_thread(thread: Thread, path: str | Path, meta: dict[str, Any] | None = 
 
 
 def write_json_atomic(document: Any, path: str | Path) -> None:
+    """Write ``document`` as JSON through a temp file and a rename, so a
+    reader never sees a partial file.
+
+    The temp file gets a unique name in the target directory, so writers
+    to the same path never share one, and a failed write removes only its
+    own temp file.  The output keeps the mode a newly created file gets.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2)
             fh.write("\n")
+        os.chmod(tmp, _NEW_FILE_MODE)
         os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -1,6 +1,10 @@
 """CLI commands, exit codes, and report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -75,6 +79,20 @@ class TestSimulate:
         )
         assert result.exit_code == 2
 
+    def test_non_string_user_id_exits_2_without_output(self, runner, tmp_path):
+        spec = spec_to_dict(example1())
+        spec["users"][0]["id"] = 1
+        for entry in spec["script"]:
+            if entry["author"] == "U1":
+                entry["author"] = 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, ["simulate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "user ids must be strings" in result.output
+        assert not out.exists()
+
     def test_scenario_and_spec_together_rejected(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -102,6 +120,64 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 1
+
+
+UNREADABLE_FILES = {
+    "not-utf8": b'{"topic_count": "\xff\xfe"}',
+    "deeply-nested": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["detect", "--thread", "{file}"],
+        ["conflict", "--thread", "{file}", "--a", "1", "--b", "2"],
+        ["simulate", "--spec", "{file}", "--out", "{out}"],
+    ],
+    ids=["detect", "conflict", "simulate-spec"],
+)
+def test_unreadable_file_exits_2_without_traceback(runner, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "o.json"
+    args = [a.format(file=bad, out=out) for a in command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is not valid JSON" in result.output
+    assert not out.exists()
+
+
+def test_simulate_and_conflict_leave_numpy_unloaded(tmp_path):
+    # numpy is imported only when a thread is scored; commands that score
+    # nothing must not pay for loading it
+    script = """
+import sys
+from click.testing import CliRunner
+from trolldetect.cli import main
+
+out = sys.argv[1]
+runner = CliRunner()
+for args in (["simulate", "--scenario", "example1", "--out", out],
+             ["conflict", "--thread", out, "--a", "1", "--b", "2"]):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+assert "numpy" not in sys.modules, "numpy was loaded"
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = [str(src)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "thread.json")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestDetect:

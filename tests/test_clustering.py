@@ -1,4 +1,4 @@
-"""Two-cluster k-means over 1-D score maps."""
+"""Exact two-way split of 1-D score maps."""
 
 import random
 
@@ -48,7 +48,6 @@ class TestKmeans2:
             assert part.high | part.low == set(values)
             assert not (part.high & part.low)
             assert part.high and part.low
-            assert part.iterations <= 100
 
     def test_result_is_a_fixed_point(self):
         # re-assigning every value to its nearest center reproduces the
@@ -72,10 +71,21 @@ class TestKmeans2:
                 assert scaled.low == base.low
 
     def test_matches_exhaustive_split(self):
+        # narrow-spread maps: the spread is tiny next to the magnitude, so a
+        # prefix-sum cost on the raw values would cancel
         rng = random.Random(14)
-        for _ in range(200):
-            values = {f"id{i}": rng.random() for i in range(rng.randint(2, 20))}
-            part = kmeans2(values)
-            high, low, _ = best_split(values)
-            assert part.high == high
-            assert part.low == low
+        draws = (
+            rng.random,
+            lambda: 0.05 + 1e-9 * rng.random(),
+            lambda: 0.05 + 1e-6 * rng.random(),
+            lambda: 0.5 + 1e-11 * rng.random(),
+        )
+        for draw in draws:
+            for _ in range(200):
+                values = {f"id{i}": draw() for i in range(rng.randint(2, 20))}
+                if max(values.values()) - min(values.values()) <= 1e-12:
+                    continue
+                part = kmeans2(values)
+                high, low, _ = best_split(values)
+                assert part.high == high
+                assert part.low == low

@@ -1,6 +1,9 @@
 """Thread data model and its JSON file format."""
 
 import json
+import stat
+import sys
+import threading
 
 import pytest
 
@@ -14,6 +17,7 @@ from trolldetect import (
     thread_from_dict,
     thread_to_dict,
 )
+from trolldetect.thread import write_json_atomic
 from trolldetect.errors import (
     InvalidThread,
     NonFiniteMass,
@@ -95,6 +99,16 @@ class TestThreadValidation:
                 users=("U1", "U2", "U3"),
                 messages=(msg("U1", 1), msg("U2", 2)),
             )
+
+    @pytest.mark.parametrize("flaw", ["one-bad-rank", "silent-users"])
+    def test_error_message_stays_short_on_large_threads(self, flaw):
+        users = tuple(f"U{i}" for i in range(10_000 if flaw == "silent-users" else 2))
+        messages = [msg(users[rank % 2], rank) for rank in range(1, 10_001)]
+        if flaw == "one-bad-rank":
+            messages[4_999] = msg(users[1], 10_001)
+        with pytest.raises(InvalidThread) as err:
+            Thread(frame=MF, users=users, messages=tuple(messages))
+        assert len(str(err.value)) < 200
 
     def test_single_user_rejected(self):
         with pytest.raises(InvalidThread):
@@ -217,3 +231,44 @@ class TestJsonFormat:
         loaded = load_thread(path)
         for original, reread in zip(t.messages, loaded.messages):
             assert original.bba.to_dict() == reread.bba.to_dict()
+
+
+class TestWriteJsonAtomic:
+    def test_output_gets_the_mode_of_a_new_file(self, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        path = tmp_path / "out.json"
+        write_json_atomic({"a": 1}, path)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_failed_write_leaves_no_files(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json_atomic({"a": object()}, tmp_path / "out.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        path = tmp_path / "out.json"
+        errors = []
+
+        def writer(k):
+            try:
+                for i in range(40):
+                    write_json_atomic({"writer": k, "pass": i, "pad": list(range(200))}, path)
+            except OSError as exc:
+                errors.append(exc)
+
+        workers = [threading.Thread(target=writer, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        # whichever writer replaced the file last did so with its last pass
+        assert json.loads(path.read_text())["pass"] == 39
+        assert list(tmp_path.iterdir()) == [path]
