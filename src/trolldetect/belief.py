@@ -164,7 +164,10 @@ class MassFunction:
             if subset in masses:
                 raise DuplicateSubset(f"subset {subset:#b} assigned twice")
             masses[subset] = mass
-        total = math.fsum(masses.values())
+        try:
+            total = math.fsum(masses.values())
+        except OverflowError:  # finite masses whose sum leaves the float range
+            raise SumNotOne("masses sum past the float range, expected 1") from None
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise SumNotOne(f"masses sum to {total!r}, expected 1")
         # Sorted storage gives every downstream loop a deterministic order.

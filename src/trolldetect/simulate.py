@@ -118,9 +118,9 @@ def _validate(spec: ScenarioSpec) -> MessageFrame:
                 f"script entry {i}: topic only applies to controversy entries"
             )
         authors.add(entry.author)
-    silent = known - authors
+    silent = [uid for uid in ids if uid not in authors]
     if silent:
-        raise InvalidSpec(f"users never post: {sorted(silent)}")
+        raise InvalidSpec(f"{len(silent)} users never post, first {silent[0]!r}")
     if len(spec.concentration) != 2:
         raise InvalidSpec("concentration must be a (lo, hi) pair")
     lo, hi = spec.concentration
@@ -134,6 +134,9 @@ def _validate(spec: ScenarioSpec) -> MessageFrame:
 
 
 def _check_pin(rank: int, mass: float, script_length: int) -> None:
+    # A float rank never matches a message, and True would count as rank 1.
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise InvalidSpec(f"pinned rank must be an integer, got {rank!r}")
     if not 1 <= rank <= script_length:
         raise RankOutOfBounds(f"pinned rank {rank} outside 1..{script_length}")
     # 1.0 is rejected on purpose: every generated bba keeps two focal
@@ -210,7 +213,11 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
             for e in data["script"]
         )
         concentration = tuple(data.get("concentration", DEFAULT_CONCENTRATION))
-        pins = {p["rank"]: p["mass"] for p in data.get("pins", [])}
+        pins = {}
+        for p in data.get("pins", []):
+            # checked before it becomes a key: True and 1 are the same key
+            _check_pin(p["rank"], p["mass"], len(script))
+            pins[p["rank"]] = p["mass"]
         spec = ScenarioSpec(
             topic_count=data["topic_count"],
             relevant_topic=data["relevant_topic"],

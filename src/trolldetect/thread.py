@@ -163,73 +163,68 @@ class Thread:
         return tuple(m.rank for m in self.messages if m.author == user)
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidThread(message)
-
-
 def thread_from_dict(data: Mapping[str, Any]) -> Thread:
     """Build a thread from its JSON object form.
 
     Unknown top-level keys (such as simulator metadata) are ignored.
     """
-    _expect(isinstance(data, Mapping), "thread document must be a JSON object")
+    # Each check builds its message only when it fails: a large thread
+    # passes about ten checks per message.
+    if not isinstance(data, Mapping):
+        raise InvalidThread("thread document must be a JSON object")
     for key in ("topic_count", "relevant_topic", "users", "messages"):
-        _expect(key in data, f"missing key {key!r}")
-    _expect(
-        isinstance(data["topic_count"], int) and not isinstance(data["topic_count"], bool),
-        "topic_count must be an integer",
-    )
-    _expect(
-        isinstance(data["relevant_topic"], int)
-        and not isinstance(data["relevant_topic"], bool),
-        "relevant_topic must be an integer",
-    )
+        if key not in data:
+            raise InvalidThread(f"missing key {key!r}")
+    for key in ("topic_count", "relevant_topic"):
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
+            raise InvalidThread(f"{key} must be an integer")
     frame = MessageFrame(
         topic_count=data["topic_count"], relevant_topic=data["relevant_topic"]
     )
     users = data["users"]
-    _expect(
-        isinstance(users, list) and all(isinstance(u, str) for u in users),
-        "users must be a list of strings",
-    )
+    if not (isinstance(users, list) and all(isinstance(u, str) for u in users)):
+        raise InvalidThread("users must be a list of strings")
     raw_messages = data["messages"]
-    _expect(isinstance(raw_messages, list), "messages must be a list")
+    if not isinstance(raw_messages, list):
+        raise InvalidThread("messages must be a list")
+    subsets: dict[tuple[str, ...], int] = {}  # label tuple -> mask, checked labels only
     messages = []
     for i, raw in enumerate(raw_messages):
-        _expect(isinstance(raw, Mapping), f"message {i} must be an object")
+        if not isinstance(raw, Mapping):
+            raise InvalidThread(f"message {i} must be an object")
         for key in ("rank", "author", "bba"):
-            _expect(key in raw, f"message {i} missing key {key!r}")
+            if key not in raw:
+                raise InvalidThread(f"message {i} missing key {key!r}")
         rank, author, bba = raw["rank"], raw["author"], raw["bba"]
-        _expect(
-            isinstance(rank, int) and not isinstance(rank, bool),
-            f"message {i}: rank must be an integer",
-        )
-        _expect(isinstance(author, str), f"message {i}: author must be a string")
-        _expect(isinstance(bba, list), f"message {i}: bba must be a list")
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise InvalidThread(f"message {i}: rank must be an integer")
+        if not isinstance(author, str):
+            raise InvalidThread(f"message {i}: author must be a string")
+        if not isinstance(bba, list):
+            raise InvalidThread(f"message {i}: bba must be a list")
         assignments = []
         for j, entry in enumerate(bba):
-            _expect(
-                isinstance(entry, Mapping) and "set" in entry and "mass" in entry,
-                f"message {i}: bba entry {j} must have 'set' and 'mass'",
-            )
+            if not (isinstance(entry, Mapping) and "set" in entry and "mass" in entry):
+                raise InvalidThread(f"message {i}: bba entry {j} must have 'set' and 'mass'")
             labels = entry["set"]
-            _expect(
-                isinstance(labels, list) and all(isinstance(x, str) for x in labels),
-                f"message {i}: bba entry {j}: 'set' must be a list of strings",
-            )
+            if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+                raise InvalidThread(
+                    f"message {i}: bba entry {j}: 'set' must be a list of strings"
+                )
             mass = entry["mass"]
-            _expect(
-                isinstance(mass, (int, float)) and not isinstance(mass, bool),
-                f"message {i}: bba entry {j}: 'mass' must be a number",
-            )
+            if not isinstance(mass, (int, float)) or isinstance(mass, bool):
+                raise InvalidThread(f"message {i}: bba entry {j}: 'mass' must be a number")
             try:
                 mass = float(mass)
             except OverflowError:  # an integer too large for a float
                 raise InvalidThread(
                     f"message {i}: bba entry {j}: 'mass' is out of float range"
                 ) from None
-            assignments.append((frame.frame.subset(labels), mass))
+            key = tuple(labels)
+            subset = subsets.get(key)
+            if subset is None:
+                subset = subsets[key] = frame.frame.subset(labels)
+            assignments.append((subset, mass))
         messages.append(
             Message(author=author, rank=rank, bba=MassFunction(frame.frame, assignments))
         )
@@ -238,6 +233,15 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
 
 def thread_to_dict(thread: Thread) -> dict[str, Any]:
     """JSON object form of a thread (masses keep full float precision)."""
+    frame = thread.frame.frame
+    members: dict[int, tuple[str, ...]] = {}  # mask -> labels, one lookup per mask
+
+    def entry(subset: int, mass: float) -> dict[str, Any]:
+        labels = members.get(subset)
+        if labels is None:
+            labels = members[subset] = frame.members(subset)
+        return {"set": list(labels), "mass": mass}
+
     return {
         "topic_count": thread.frame.topic_count,
         "relevant_topic": thread.frame.relevant_topic,
@@ -246,10 +250,7 @@ def thread_to_dict(thread: Thread) -> dict[str, Any]:
             {
                 "rank": msg.rank,
                 "author": msg.author,
-                "bba": [
-                    {"set": list(thread.frame.frame.members(s)), "mass": m}
-                    for s, m in msg.bba.items()
-                ],
+                "bba": [entry(s, m) for s, m in msg.bba.items()],
             }
             for msg in thread.messages
         ],
@@ -271,7 +272,7 @@ def save_thread(thread: Thread, path: str | Path, meta: dict[str, Any] | None = 
 
 def write_json_atomic(document: Any, path: str | Path) -> None:
     """Write ``document`` as JSON through a temp file and a rename, so a
-    reader never sees a partial file.
+    reader never sees a partial file.  See ``_dumps`` for the layout.
 
     The temp file gets a unique name in the target directory, so writers
     to the same path never share one, and a failed write removes only its
@@ -281,10 +282,32 @@ def write_json_atomic(document: Any, path: str | Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
+            fh.write(_dumps(document))
             fh.write("\n")
         os.chmod(tmp, _NEW_FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _dumps(document: Any) -> str:
+    """JSON text with one top-level key per line and each item of a
+    top-level list on a line of its own, so a thread file has one line per
+    message.
+
+    Every piece goes through plain ``json.dumps``: only without ``indent``
+    does it use the C encoder.  Floats keep their ``repr``, so masses read
+    back bit for bit.
+    """
+    if not isinstance(document, dict) or not document:
+        return json.dumps(document)
+    fields = []
+    for key, value in document.items():
+        if isinstance(value, list) and value:
+            head = json.dumps({key: []})[1:-2]  # the encoded key, then ': ['
+            items = ",\n    ".join([json.dumps(item) for item in value])
+            fields.append(f"{head}\n    {items}\n  ]")
+        else:
+            fields.append(json.dumps({key: value})[1:-1])
+    return "{\n  " + ",\n  ".join(fields) + "\n}"

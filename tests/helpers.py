@@ -105,3 +105,79 @@ def mass_pairs(draw, allow_empty: bool = False):
 def mass_triples(draw, allow_empty: bool = False):
     frame = draw(frames())
     return tuple(draw(masses_on(frame, allow_empty=allow_empty)) for _ in range(3))
+
+
+# Thread documents for the parser: arbitrary JSON values, and thread
+# documents with one item swapped out or removed, which reach the checks on
+# messages and bba entries that arbitrary JSON almost never gets past.
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+)
+json_values = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+_LABELS = st.sampled_from(["Off-topic", "Senseless", "Topic_1", "Topic_2"])
+_USERS = st.sampled_from(["U1", "U2", "U3"])
+_PAIRED = st.sampled_from([0.25, 0.75, 1e308])  # two masses of 1e308 overflow a sum
+_MASSES = st.sampled_from([0.0, -0.5, 1e308, 10**400]) | st.floats()
+_BBAS = st.one_of(
+    st.lists(_LABELS, max_size=2).map(lambda labels: [{"set": labels, "mass": 1.0}]),
+    st.tuples(_LABELS, _LABELS, _PAIRED, _PAIRED).map(
+        lambda t: [{"set": [t[0]], "mass": t[2]}, {"set": [t[1]], "mass": t[3]}]
+    ),
+    st.lists(
+        st.fixed_dictionaries({"set": st.lists(_LABELS, max_size=3), "mass": _MASSES}),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def _threads(draw):
+    """A thread document with ranks 1..M and every user posting, whose
+    masses, labels and frame need not agree."""
+    users = draw(st.lists(_USERS, min_size=2, max_size=3, unique=True))
+    count = draw(st.integers(len(users), 4))
+    return {
+        "topic_count": draw(st.integers(2, 3)),
+        "relevant_topic": draw(st.integers(1, 2)),
+        "users": users,
+        "messages": [
+            {"rank": rank, "author": users[rank % len(users)], "bba": draw(_BBAS)}
+            for rank in range(1, count + 1)
+        ],
+    }
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON tree, outermost first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def _near_threads(draw):
+    """A thread document with at most one item swapped for any JSON value
+    or removed."""
+    doc = draw(_threads())
+    slots = list(_slots(doc))
+    pick = draw(st.integers(-1, len(slots) - 1))
+    if pick >= 0:
+        container, key = slots[pick]
+        if draw(st.booleans()):
+            container[key] = draw(json_values)
+        else:
+            del container[key]
+    return doc
+
+
+json_documents = json_values | _near_threads()

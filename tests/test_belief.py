@@ -91,6 +91,10 @@ class TestMassFunction:
         with pytest.raises(SumNotOne):
             MassFunction(AB, [(A, 0.6), (B, 0.6)])
 
+    def test_sum_past_float_range_rejected(self):
+        with pytest.raises(SumNotOne):
+            MassFunction(AB, [(A, 1e308), (B, 1e308)])
+
     def test_message_style_bba(self):
         # dominant mass on one category, remainder on the whole frame
         frame = Frame(["Off-topic", "Senseless", "Topic_1", "Topic_2"])

@@ -4,14 +4,26 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
-from trolldetect import MassFunction, Message, MessageFrame, Thread, thread_to_dict
+from trolldetect import (
+    MassFunction,
+    Message,
+    MessageFrame,
+    Thread,
+    thread_from_dict,
+    thread_to_dict,
+)
 from trolldetect.cli import main
+from trolldetect.errors import BeliefError
 from trolldetect.simulate import spec_to_dict, example1
+
+from helpers import json_documents
 
 
 @pytest.fixture
@@ -93,6 +105,18 @@ class TestSimulate:
         assert "user ids must be strings" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank", [1.5, True], ids=["float-rank", "bool-rank"])
+    def test_non_integer_pin_rank_exits_2_without_output(self, runner, tmp_path, rank):
+        spec = spec_to_dict(example1())
+        spec["pins"][0]["rank"] = rank
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, ["simulate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "pinned rank must be an integer" in result.output
+        assert not out.exists()
+
     def test_scenario_and_spec_together_rejected(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -120,6 +144,22 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(json_documents)
+def test_any_json_document_exits_2_unless_it_is_a_thread(doc):
+    try:
+        thread_from_dict(doc)
+        expected = {0, 3}  # scored, or scores too uniform to split
+    except BeliefError:
+        expected = {2}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "thread.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["detect", "--thread", str(path)])
+    assert result.exit_code in expected, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 UNREADABLE_FILES = {

@@ -70,6 +70,15 @@ class TestValidation:
                 tiny_spec(script=(ScriptEntry("A", "relevant"), ScriptEntry("A", "senseless")))
             )
 
+    def test_error_message_stays_short_with_many_silent_users(self):
+        users = (("A", "expert"), ("B", "troll")) + tuple(
+            (f"S{i}", "learner") for i in range(10_000)
+        )
+        with pytest.raises(InvalidSpec) as err:
+            generate(tiny_spec(users=users))
+        assert str(err.value) == "10000 users never post, first 'S0'"
+        assert len(str(err.value)) < 200
+
     def test_concentration_bounds(self):
         with pytest.raises(InvalidSpec):
             generate(tiny_spec(concentration=(0.4, 0.9)))
@@ -101,6 +110,22 @@ class TestPinning:
             pin_masses(tiny_spec(), [(1, 1.0)])
         with pytest.raises(MassOutOfRange):
             pin_masses(tiny_spec(), [(1, 0.0)])
+
+    @pytest.mark.parametrize("rank", [1.5, True, 1.0, "1"])
+    def test_pin_rank_must_be_an_integer(self, rank):
+        with pytest.raises(InvalidSpec, match="pinned rank must be an integer"):
+            pin_masses(tiny_spec(), [(rank, 0.9)])
+        document = spec_to_dict(tiny_spec())
+        document["pins"] = [{"rank": rank, "mass": 0.9}]
+        with pytest.raises(InvalidSpec, match="pinned rank must be an integer"):
+            spec_from_dict(document)
+
+    def test_bool_pin_beside_integer_pin_rejected(self):
+        # True == 1, so as a dict key it would silently merge with rank 1
+        document = spec_to_dict(tiny_spec())
+        document["pins"] = [{"rank": 1, "mass": 0.9}, {"rank": True, "mass": 0.8}]
+        with pytest.raises(InvalidSpec):
+            spec_from_dict(document)
 
     def test_pin_does_not_mutate_original(self):
         spec = tiny_spec()

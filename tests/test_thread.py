@@ -1,13 +1,18 @@
 """Thread data model and its JSON file format."""
 
 import json
+import random
 import stat
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
 
 from trolldetect import (
+    analyze,
+    example1,
+    generate,
     MassFunction,
     Message,
     MessageFrame,
@@ -19,12 +24,16 @@ from trolldetect import (
 )
 from trolldetect.thread import write_json_atomic
 from trolldetect.errors import (
+    BeliefError,
+    InvalidSubset,
     InvalidThread,
     NonFiniteMass,
     RankOutOfBounds,
     SumNotOne,
     UnknownUser,
 )
+
+from helpers import json_documents, random_thread
 
 MF = MessageFrame(topic_count=2, relevant_topic=1)
 
@@ -233,6 +242,65 @@ class TestJsonFormat:
             assert original.bba.to_dict() == reread.bba.to_dict()
 
 
+def _thread_with_meta():
+    thread = random_thread(random.Random(5), max_users=6, max_messages=40, max_focal=4)
+    document = thread_to_dict(thread)
+    document["meta"] = {"tool": "trolldetect", "seed": 5, "nested": {"a": {"b": [1, {}]}}}
+    return thread, document
+
+
+def _detect_report():
+    report = analyze(generate(example1()))
+    return {"meta": {"tool": "trolldetect", "input": "t.json"}, "report": report.to_dict()}
+
+
+WRITER_DOCUMENTS = {
+    "thread-with-meta": lambda: _thread_with_meta()[1],
+    "detect-report": _detect_report,
+    "empty-list-and-nested-dict": lambda: {
+        "empty": [],
+        "nested": {"a": {"b": [], "c": {"d": [0.1, -0.0, 1e-300]}}},
+        "items": [[], {}, "x\u00e9\n", None, True],
+    },
+    "not-an-object": lambda: [1.5, {"a": []}],
+    "empty-object": dict,
+}
+
+
+class TestWriterContract:
+    @pytest.mark.parametrize("make", WRITER_DOCUMENTS.values(), ids=WRITER_DOCUMENTS)
+    def test_reads_back_equal_and_writes_are_byte_identical(self, tmp_path, make):
+        document = make()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_json_atomic(document, first)
+        write_json_atomic(document, second)
+        text = first.read_text(encoding="utf-8")
+        assert json.loads(text) == document
+        assert text.endswith("\n")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_thread_file_has_one_line_per_message(self, tmp_path):
+        thread, document = _thread_with_meta()
+        path = tmp_path / "thread.json"
+        write_json_atomic(document, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = lines.index('  "messages": [') + 1
+        last = next(k for k in range(first, len(lines)) if lines[k].startswith("  ]"))
+        assert last - first == len(thread.messages)
+        for line, message in zip(lines[first:last], document["messages"]):
+            assert json.loads(line.strip().rstrip(",")) == message
+
+    def test_masses_read_back_bit_for_bit(self, tmp_path):
+        thread, document = _thread_with_meta()
+        path = tmp_path / "thread.json"
+        write_json_atomic(document, path)
+        again = load_thread(path)
+        for original, reread in zip(thread.messages, again.messages):
+            assert [(s, m.hex()) for s, m in original.bba.items()] == [
+                (s, m.hex()) for s, m in reread.bba.items()
+            ]
+
+
 class TestWriteJsonAtomic:
     def test_output_gets_the_mode_of_a_new_file(self, tmp_path):
         reference = tmp_path / "reference"
@@ -272,3 +340,90 @@ class TestWriteJsonAtomic:
         # whichever writer replaced the file last did so with its last pass
         assert json.loads(path.read_text())["pass"] == 39
         assert list(tmp_path.iterdir()) == [path]
+
+
+def _malformed(edit):
+    """A deep copy of SAMPLE with ``edit`` applied to it."""
+    doc = json.loads(json.dumps(SAMPLE))
+    edit(doc)
+    return doc
+
+
+def _set_first_entry(key, value):
+    return lambda d: d["messages"][1]["bba"][0].__setitem__(key, value)
+
+
+FRAME_REPR = "Frame(['Off-topic', 'Senseless', 'Topic_1', 'Topic_2'])"
+
+# One malformed document per check in thread_from_dict, with the exact text
+# it must raise.  Cases with two faults pin which check runs first.
+MALFORMED = [
+    ("non-object", ["not", "an", "object"], InvalidThread,
+     "thread document must be a JSON object"),
+    ("missing-key", _malformed(lambda d: d.pop("users")), InvalidThread,
+     "missing key 'users'"),
+    ("missing-two-keys", _malformed(lambda d: (d.pop("messages"), d.pop("topic_count"))),
+     InvalidThread, "missing key 'topic_count'"),
+    ("bool-topic-count", _malformed(lambda d: d.__setitem__("topic_count", True)),
+     InvalidThread, "topic_count must be an integer"),
+    ("float-relevant-topic", _malformed(lambda d: d.__setitem__("relevant_topic", 1.0)),
+     InvalidThread, "relevant_topic must be an integer"),
+    ("non-string-user", _malformed(lambda d: d["users"].append(3)), InvalidThread,
+     "users must be a list of strings"),
+    ("users-not-list", _malformed(lambda d: d.__setitem__("users", "U1")), InvalidThread,
+     "users must be a list of strings"),
+    ("messages-not-list", _malformed(lambda d: d.__setitem__("messages", {})),
+     InvalidThread, "messages must be a list"),
+    ("message-not-object", _malformed(lambda d: d["messages"].__setitem__(1, [])),
+     InvalidThread, "message 1 must be an object"),
+    ("message-missing-key", _malformed(lambda d: d["messages"][1].pop("author")),
+     InvalidThread, "message 1 missing key 'author'"),
+    ("bool-rank", _malformed(lambda d: d["messages"][1].__setitem__("rank", True)),
+     InvalidThread, "message 1: rank must be an integer"),
+    ("bool-rank-and-bad-author",
+     _malformed(lambda d: d["messages"][1].update(rank=False, author=None)),
+     InvalidThread, "message 1: rank must be an integer"),
+    ("non-string-author", _malformed(lambda d: d["messages"][1].__setitem__("author", 2)),
+     InvalidThread, "message 1: author must be a string"),
+    ("bba-not-list", _malformed(lambda d: d["messages"][0].__setitem__("bba", {})),
+     InvalidThread, "message 0: bba must be a list"),
+    ("entry-not-object", _malformed(lambda d: d["messages"][0]["bba"].__setitem__(1, 0.5)),
+     InvalidThread, "message 0: bba entry 1 must have 'set' and 'mass'"),
+    ("entry-missing-mass", _malformed(lambda d: d["messages"][1]["bba"][0].pop("mass")),
+     InvalidThread, "message 1: bba entry 0 must have 'set' and 'mass'"),
+    ("non-string-label", _malformed(_set_first_entry("set", ["Topic_2", 1])),
+     InvalidThread, "message 1: bba entry 0: 'set' must be a list of strings"),
+    ("set-not-list", _malformed(_set_first_entry("set", "Topic_2")),
+     InvalidThread, "message 1: bba entry 0: 'set' must be a list of strings"),
+    ("bad-label-and-bool-mass",
+     _malformed(lambda d: d["messages"][1]["bba"][0].update(set=[None], mass=True)),
+     InvalidThread, "message 1: bba entry 0: 'set' must be a list of strings"),
+    ("bool-mass", _malformed(_set_first_entry("mass", True)),
+     InvalidThread, "message 1: bba entry 0: 'mass' must be a number"),
+    ("string-mass", _malformed(_set_first_entry("mass", "1.0")),
+     InvalidThread, "message 1: bba entry 0: 'mass' must be a number"),
+    ("400-digit-mass", _malformed(_set_first_entry("mass", 10**400)),
+     InvalidThread, "message 1: bba entry 0: 'mass' is out of float range"),
+    ("unknown-label", _malformed(_set_first_entry("set", ["Topic_2", "Topic_9"])),
+     InvalidSubset, f"'Topic_9' is not a hypothesis of {FRAME_REPR}"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, error, text", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_document_message(doc, error, text):
+    with pytest.raises(error) as err:
+        thread_from_dict(doc)
+    assert type(err.value) is error
+    assert str(err.value) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_documents)
+def test_any_json_document_is_a_thread_or_a_belief_error(doc):
+    try:
+        thread = thread_from_dict(doc)
+    except BeliefError:
+        return
+    assert isinstance(thread, Thread)
