@@ -47,7 +47,6 @@ from .thread import (
     MessageFrame,
     Thread,
     load_thread,
-    save_thread,
     thread_from_dict,
     thread_to_dict,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "thread_from_dict",
     "thread_to_dict",
     "load_thread",
-    "save_thread",
     "ConflictReport",
     "message_conflict_per_user",
     "message_conflict",

@@ -13,12 +13,13 @@ threads are reproduced.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any
 
 from .belief import MassFunction
-from .errors import InvalidSpec, MassOutOfRange, RankOutOfBounds
+from .errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
 from .thread import Message, MessageFrame, Thread
 
 __all__ = [
@@ -58,7 +59,12 @@ class ScriptEntry:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A complete recipe for one synthetic thread."""
+    """A complete recipe for one synthetic thread.
+
+    Checked at construction: an invalid recipe raises ``InvalidSpec``
+    (``RankOutOfBounds`` or ``MassOutOfRange`` for a bad pin), so
+    ``generate`` checks nothing itself.  ``pins`` is stored read-only.
+    """
 
     topic_count: int
     relevant_topic: int
@@ -66,71 +72,73 @@ class ScenarioSpec:
     script: tuple[ScriptEntry, ...]
     seed: int = 0
     concentration: tuple[float, float] = DEFAULT_CONCENTRATION
-    pins: dict[int, float] = field(default_factory=dict)  # rank -> dominant mass
+    pins: Mapping[int, float] = field(default_factory=dict)  # rank -> dominant mass
+
+    def __post_init__(self):
+        try:
+            MessageFrame(topic_count=self.topic_count, relevant_topic=self.relevant_topic)
+        except InvalidThread as exc:
+            raise InvalidSpec(str(exc)) from None
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        ids = self.user_ids()
+        for uid in ids:
+            if not isinstance(uid, str):
+                raise InvalidSpec(f"user ids must be strings, got {uid!r}")
+        if len(ids) < 2:
+            raise InvalidSpec("a scenario needs at least two users")
+        if len(set(ids)) != len(ids):
+            raise InvalidSpec("duplicate user ids")
+        for uid, role in self.users:
+            if role not in ROLES:
+                raise InvalidSpec(f"unknown role {role!r} for {uid!r}")
+        if not self.script:
+            raise InvalidSpec("empty script")
+        known = set(ids)
+        authors = set()
+        for i, entry in enumerate(self.script):
+            if entry.author not in known:
+                raise InvalidSpec(f"script entry {i}: unknown author {entry.author!r}")
+            if entry.category not in CATEGORIES:
+                raise InvalidSpec(f"script entry {i}: unknown category {entry.category!r}")
+            if entry.category == "controversy":
+                if entry.topic is None:
+                    raise InvalidSpec(f"script entry {i}: controversy needs a topic")
+                if not isinstance(entry.topic, int) or isinstance(entry.topic, bool):
+                    raise InvalidSpec(
+                        f"script entry {i}: topic must be an integer, got {entry.topic!r}"
+                    )
+                if not 1 <= entry.topic <= self.topic_count:
+                    raise InvalidSpec(
+                        f"script entry {i}: topic {entry.topic} outside "
+                        f"1..{self.topic_count}"
+                    )
+                if entry.topic == self.relevant_topic:
+                    raise InvalidSpec(
+                        f"script entry {i}: controversy topic equals the relevant topic"
+                    )
+            elif entry.topic is not None:
+                raise InvalidSpec(
+                    f"script entry {i}: topic only applies to controversy entries"
+                )
+            authors.add(entry.author)
+        silent = [uid for uid in ids if uid not in authors]
+        if silent:
+            raise InvalidSpec(f"{len(silent)} users never post, first {silent[0]!r}")
+        if len(self.concentration) != 2:
+            raise InvalidSpec("concentration must be a (lo, hi) pair")
+        lo, hi = self.concentration
+        if not (0.5 < lo < hi < 1.0):
+            raise InvalidSpec(
+                f"concentration must satisfy 0.5 < lo < hi < 1, got ({lo}, {hi})"
+            )
+        pins = MappingProxyType(dict(self.pins))
+        for rank, mass in pins.items():
+            _check_pin(rank, mass, len(self.script))
+        object.__setattr__(self, "pins", pins)
 
     def user_ids(self) -> tuple[str, ...]:
         return tuple(uid for uid, _ in self.users)
-
-
-def _validate(spec: ScenarioSpec) -> MessageFrame:
-    try:
-        frame = MessageFrame(
-            topic_count=spec.topic_count, relevant_topic=spec.relevant_topic
-        )
-    except Exception as exc:
-        raise InvalidSpec(str(exc)) from None
-    if not isinstance(spec.seed, int) or isinstance(spec.seed, bool):
-        raise InvalidSpec(f"seed must be an integer, got {spec.seed!r}")
-    ids = spec.user_ids()
-    for uid in ids:
-        if not isinstance(uid, str):
-            raise InvalidSpec(f"user ids must be strings, got {uid!r}")
-    if len(ids) < 2:
-        raise InvalidSpec("a scenario needs at least two users")
-    if len(set(ids)) != len(ids):
-        raise InvalidSpec("duplicate user ids")
-    for uid, role in spec.users:
-        if role not in ROLES:
-            raise InvalidSpec(f"unknown role {role!r} for {uid!r}")
-    if not spec.script:
-        raise InvalidSpec("empty script")
-    known = set(ids)
-    authors = set()
-    for i, entry in enumerate(spec.script):
-        if entry.author not in known:
-            raise InvalidSpec(f"script entry {i}: unknown author {entry.author!r}")
-        if entry.category not in CATEGORIES:
-            raise InvalidSpec(f"script entry {i}: unknown category {entry.category!r}")
-        if entry.category == "controversy":
-            if entry.topic is None:
-                raise InvalidSpec(f"script entry {i}: controversy needs a topic")
-            if not 1 <= entry.topic <= spec.topic_count:
-                raise InvalidSpec(
-                    f"script entry {i}: topic {entry.topic} outside "
-                    f"1..{spec.topic_count}"
-                )
-            if entry.topic == spec.relevant_topic:
-                raise InvalidSpec(
-                    f"script entry {i}: controversy topic equals the relevant topic"
-                )
-        elif entry.topic is not None:
-            raise InvalidSpec(
-                f"script entry {i}: topic only applies to controversy entries"
-            )
-        authors.add(entry.author)
-    silent = [uid for uid in ids if uid not in authors]
-    if silent:
-        raise InvalidSpec(f"{len(silent)} users never post, first {silent[0]!r}")
-    if len(spec.concentration) != 2:
-        raise InvalidSpec("concentration must be a (lo, hi) pair")
-    lo, hi = spec.concentration
-    if not (0.5 < lo < hi < 1.0):
-        raise InvalidSpec(
-            f"concentration must satisfy 0.5 < lo < hi < 1, got ({lo}, {hi})"
-        )
-    for rank, mass in spec.pins.items():
-        _check_pin(rank, mass, len(spec.script))
-    return frame
 
 
 def _check_pin(rank: int, mass: float, script_length: int) -> None:
@@ -172,7 +180,7 @@ def generate(spec: ScenarioSpec) -> Thread:
     Dominant masses are drawn for every rank in script order, so pinning
     one rank never shifts the values sampled for the others.
     """
-    frame = _validate(spec)
+    frame = MessageFrame(topic_count=spec.topic_count, relevant_topic=spec.relevant_topic)
     lo, hi = spec.concentration
     rng = random.Random(spec.seed)
     messages = []
@@ -217,8 +225,10 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
         for p in data.get("pins", []):
             # checked before it becomes a key: True and 1 are the same key
             _check_pin(p["rank"], p["mass"], len(script))
+            if p["rank"] in pins:
+                raise InvalidSpec(f"pinned rank {p['rank']} appears more than once")
             pins[p["rank"]] = p["mass"]
-        spec = ScenarioSpec(
+        return ScenarioSpec(
             topic_count=data["topic_count"],
             relevant_topic=data["relevant_topic"],
             users=users,
@@ -227,13 +237,8 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
             concentration=concentration,  # type: ignore[arg-type]
             pins=pins,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed scenario document: {exc}") from None
-    try:
-        _validate(spec)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed scenario document: {exc}") from None
-    return spec
 
 
 def _script(*entries: tuple[str, str] | tuple[str, str, int]) -> tuple[ScriptEntry, ...]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,15 +28,7 @@ __all__ = [
     "thread_from_dict",
     "thread_to_dict",
     "load_thread",
-    "save_thread",
 ]
-
-# mkstemp creates files as 0600; output files get the mode that open()
-# gives a new file instead.  The umask can only be read by setting it, so
-# it is read once, at import.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-_NEW_FILE_MODE = 0o666 & ~_UMASK
 
 OFF_TOPIC = "Off-topic"
 SENSELESS = "Senseless"
@@ -60,6 +51,10 @@ class MessageFrame:
     _frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in ("topic_count", "relevant_topic"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidThread(f"{key} must be an integer")
         if self.topic_count < 1:
             raise InvalidThread(f"topic_count must be >= 1, got {self.topic_count}")
         if self.topic_count > 14:
@@ -175,9 +170,6 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
     for key in ("topic_count", "relevant_topic", "users", "messages"):
         if key not in data:
             raise InvalidThread(f"missing key {key!r}")
-    for key in ("topic_count", "relevant_topic"):
-        if not isinstance(data[key], int) or isinstance(data[key], bool):
-            raise InvalidThread(f"{key} must be an integer")
     frame = MessageFrame(
         topic_count=data["topic_count"], relevant_topic=data["relevant_topic"]
     )
@@ -262,29 +254,22 @@ def load_thread(path: str | Path) -> Thread:
         return thread_from_dict(json.load(fh))
 
 
-def save_thread(thread: Thread, path: str | Path, meta: dict[str, Any] | None = None) -> None:
-    """Write a thread file atomically (temp file + rename)."""
-    document = thread_to_dict(thread)
-    if meta:
-        document["meta"] = meta
-    write_json_atomic(document, path)
-
-
 def write_json_atomic(document: Any, path: str | Path) -> None:
     """Write ``document`` as JSON through a temp file and a rename, so a
     reader never sees a partial file.  See ``_dumps`` for the layout.
 
-    The temp file gets a unique name in the target directory, so writers
+    The temp file gets a random name in the target directory, so writers
     to the same path never share one, and a failed write removes only its
-    own temp file.  The output keeps the mode a newly created file gets.
+    own temp file.  It is created with mode 0o666 less the umask in force
+    at the call, the mode ``open()`` gives a new file.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(_dumps(document))
             fh.write("\n")
-        os.chmod(tmp, _NEW_FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

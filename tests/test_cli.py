@@ -117,6 +117,38 @@ class TestSimulate:
         assert "pinned rank must be an integer" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (
+                {
+                    "topic_count": True,
+                    "relevant_topic": 1,
+                    "users": [{"id": "A", "role": "expert"}, {"id": "B", "role": "troll"}],
+                    "script": [
+                        {"author": "A", "category": "relevant"},
+                        {"author": "B", "category": "off_topic"},
+                    ],
+                },
+                "topic_count must be an integer",
+            ),
+            (
+                spec_to_dict(example1())
+                | {"pins": [{"rank": 1, "mass": 0.9}, {"rank": 1, "mass": 0.8}]},
+                "pinned rank 1 appears more than once",
+            ),
+        ],
+        ids=["bool-topic-count", "duplicate-pin-rank"],
+    )
+    def test_invalid_spec_exits_2_without_output(self, runner, tmp_path, spec, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, ["simulate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert text in result.output
+        assert not out.exists()
+
     def test_scenario_and_spec_together_rejected(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -5,6 +5,7 @@ from math import fsum
 
 import pytest
 
+from trolldetect import pipeline
 from trolldetect import (
     MassFunction,
     Message,
@@ -275,6 +276,25 @@ class TestScoringKernel:
         assert 14 in seen_topics
         assert seen_counts == set(range(1, 11))
         assert seen_empty
+
+    def test_blocked_rows_match_unblocked(self, monkeypatch):
+        # A block holds at least 163 earlier rows, more than these threads
+        # have, so only a one-entry bound scores each row in several blocks.
+        rng = random.Random(2026)
+        threads = [
+            random_thread(
+                rng, max_users=6, max_messages=14, max_topics=14,
+                max_focal=10, allow_empty=True,
+            )
+            for _ in range(40)
+        ]
+        unblocked = [analyze(t).per_message for t in threads]
+        monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", 1)
+        for t, expected in zip(threads, unblocked):
+            blocked = analyze(t).per_message
+            assert blocked == expected
+            for rank, got in enumerate(blocked, start=1):
+                assert got == pytest.approx(scalar_flat_mean(t, rank), abs=1e-12)
 
     def test_small_frames_match_oracle(self):
         rng = random.Random(2025)

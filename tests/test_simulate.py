@@ -36,6 +36,20 @@ def tiny_spec(**overrides):
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "overrides, text",
+        [
+            ({"script": ()}, "empty script"),
+            ({"topic_count": True}, "topic_count must be an integer"),
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ],
+        ids=["empty-script", "bool-topic-count", "string-seed"],
+    )
+    def test_checked_at_construction(self, overrides, text):
+        with pytest.raises(InvalidSpec) as err:
+            tiny_spec(**overrides)
+        assert str(err.value) == text
+
     def test_empty_script_rejected(self):
         with pytest.raises(InvalidSpec):
             generate(tiny_spec(script=()))
@@ -127,6 +141,20 @@ class TestPinning:
         with pytest.raises(InvalidSpec):
             spec_from_dict(document)
 
+    def test_duplicate_pin_rank_rejected(self):
+        document = spec_to_dict(tiny_spec())
+        document["pins"] = [{"rank": 1, "mass": 0.9}, {"rank": 1, "mass": 0.8}]
+        with pytest.raises(InvalidSpec, match="^pinned rank 1 appears more than once$"):
+            spec_from_dict(document)
+
+    def test_pins_are_read_only(self):
+        pins = {1: 0.9}
+        spec = tiny_spec(pins=pins)
+        pins[1] = 1.0
+        assert spec.pins == {1: 0.9}
+        with pytest.raises(TypeError):
+            spec.pins[1] = 1.0
+
     def test_pin_does_not_mutate_original(self):
         spec = tiny_spec()
         pin_masses(spec, [(1, 0.8)])
@@ -203,6 +231,15 @@ class TestSpecJson:
         ):
             with pytest.raises(InvalidSpec):
                 spec_from_dict({**base, **patch})
+
+    @pytest.mark.parametrize("topic", [1.0, True], ids=["float", "bool"])
+    def test_controversy_topic_must_be_an_integer(self, topic):
+        document = spec_to_dict(tiny_spec())
+        document["relevant_topic"] = 2
+        document["script"][1]["topic"] = topic
+        with pytest.raises(InvalidSpec) as err:
+            spec_from_dict(document)
+        assert str(err.value) == f"script entry 1: topic must be an integer, got {topic!r}"
 
     def test_builtin_specs_round_trip(self):
         for factory in (example1, example2):

@@ -1,6 +1,7 @@
 """Thread data model and its JSON file format."""
 
 import json
+import os
 import random
 import stat
 import sys
@@ -18,7 +19,6 @@ from trolldetect import (
     MessageFrame,
     Thread,
     load_thread,
-    save_thread,
     thread_from_dict,
     thread_to_dict,
 )
@@ -69,6 +69,17 @@ class TestMessageFrame:
             MessageFrame(topic_count=2, relevant_topic=3)
         with pytest.raises(InvalidThread):
             MessageFrame(topic_count=15, relevant_topic=1)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_fields_must_be_integers(self, value):
+        with pytest.raises(InvalidThread, match="^topic_count must be an integer$"):
+            MessageFrame(topic_count=value, relevant_topic=1)
+        with pytest.raises(InvalidThread, match="^relevant_topic must be an integer$"):
+            MessageFrame(topic_count=2, relevant_topic=value)
+
+    def test_types_are_checked_before_ranges(self):
+        with pytest.raises(InvalidThread, match="^relevant_topic must be an integer$"):
+            MessageFrame(topic_count=0, relevant_topic=1.0)
 
 
 class TestThreadValidation:
@@ -227,7 +238,7 @@ class TestJsonFormat:
     def test_file_round_trip(self, tmp_path):
         t = thread_from_dict(SAMPLE)
         path = tmp_path / "thread.json"
-        save_thread(t, path, meta={"generator": "test"})
+        write_json_atomic(thread_to_dict(t) | {"meta": {"generator": "test"}}, path)
         loaded = load_thread(path)
         assert loaded == t
         raw = json.loads(path.read_text())
@@ -236,7 +247,7 @@ class TestJsonFormat:
     def test_masses_survive_round_trip_exactly(self, tmp_path):
         t = thread_from_dict(SAMPLE)
         path = tmp_path / "thread.json"
-        save_thread(t, path)
+        write_json_atomic(thread_to_dict(t), path)
         loaded = load_thread(path)
         for original, reread in zip(t.messages, loaded.messages):
             assert original.bba.to_dict() == reread.bba.to_dict()
@@ -308,6 +319,17 @@ class TestWriteJsonAtomic:
         path = tmp_path / "out.json"
         write_json_atomic({"a": 1}, path)
         assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_mode_follows_the_umask_at_write_time(self, tmp_path):
+        reference, path = tmp_path / "reference", tmp_path / "out.json"
+        saved = os.umask(0o077)
+        try:
+            reference.write_text("")
+            write_json_atomic({"a": 1}, path)
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(reference.stat().st_mode) == 0o600
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
     def test_failed_write_leaves_no_files(self, tmp_path):
         with pytest.raises(TypeError):
