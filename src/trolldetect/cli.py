@@ -138,6 +138,7 @@ def detect(thread_path, json_path):
                 "version": __version__,
                 "input": str(thread_path),
                 "elapsed_seconds": elapsed,
+                "scoring": report.scoring,
             },
             "report": report.to_dict(),
         }

@@ -63,7 +63,9 @@ class ScenarioSpec:
 
     Checked at construction: an invalid recipe raises ``InvalidSpec``
     (``RankOutOfBounds`` or ``MassOutOfRange`` for a bad pin), so
-    ``generate`` checks nothing itself.  ``pins`` is stored read-only.
+    ``generate`` checks nothing itself.  ``users`` and ``script`` are
+    stored as tuples and ``pins`` read-only, so the caller's containers
+    cannot change a checked spec.
     """
 
     topic_count: int
@@ -75,6 +77,8 @@ class ScenarioSpec:
     pins: Mapping[int, float] = field(default_factory=dict)  # rank -> dominant mass
 
     def __post_init__(self):
+        object.__setattr__(self, "users", tuple(tuple(user) for user in self.users))
+        object.__setattr__(self, "script", tuple(self.script))
         try:
             MessageFrame(topic_count=self.topic_count, relevant_topic=self.relevant_topic)
         except InvalidThread as exc:

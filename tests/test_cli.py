@@ -301,6 +301,41 @@ class TestDetect:
             bodies.append(json.loads(report_path.read_text())["report"])
         assert bodies[0] == bodies[1]
 
+    def test_scoring_counters_go_to_json_only(self, runner, tmp_path):
+        thread_path = tmp_path / "thread.json"
+        report_path = tmp_path / "report.json"
+        runner.invoke(
+            main, ["simulate", "--scenario", "example1", "--out", str(thread_path)]
+        )
+        plain = runner.invoke(main, ["detect", "--thread", str(thread_path)])
+        with_json = runner.invoke(
+            main, ["detect", "--thread", str(thread_path), "--json", str(report_path)]
+        )
+        assert plain.exit_code == with_json.exit_code == 0
+        assert plain.stdout_bytes == with_json.stdout_bytes
+        doc = json.loads(report_path.read_text())
+        messages = json.loads(thread_path.read_text())["messages"]
+        pairs = sum(
+            1 for m in messages for p in messages
+            if p["rank"] < m["rank"] and p["author"] != m["author"]
+        )
+        # example1: 16 messages by 4 users, each bba on a singleton and the frame
+        assert doc["meta"]["scoring"] == {
+            "messages": 16,
+            "users": 4,
+            "vocabulary": 4,
+            "packing": "vocabulary",
+            "pairs": pairs,
+        }
+        # stdout holds the report lines and nothing else: no timing, no counter
+        report = doc["report"]
+        centers = report["centers"]
+        expected = "user conflict:\n"
+        expected += "".join(f"  {u:<8s} {v:.12f}\n" for u, v in report["per_user"].items())
+        expected += f"trolls (center {centers['trolls']:.12f}): {' '.join(report['trolls'])}\n"
+        expected += f"others (center {centers['others']:.12f}): {' '.join(report['others'])}\n"
+        assert plain.output == expected
+
     def test_missing_thread_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["detect", "--thread", str(tmp_path / "no.json")])
         assert result.exit_code == 1

@@ -1,5 +1,6 @@
 """Per-message and per-user conflict aggregation, and the full analysis."""
 
+import math
 import random
 from math import fsum
 
@@ -278,8 +279,8 @@ class TestScoringKernel:
         assert seen_empty
 
     def test_blocked_rows_match_unblocked(self, monkeypatch):
-        # A block holds at least 163 earlier rows, more than these threads
-        # have, so only a one-entry bound scores each row in several blocks.
+        # A default tile scores every pair of these threads at once, so only
+        # a one-entry bound splits their rows and columns across tiles.
         rng = random.Random(2026)
         threads = [
             random_thread(
@@ -332,6 +333,104 @@ class TestScoringKernel:
             assert [user_conflict(t, u) for u in t.users] == [0.0] * 3
             with pytest.raises(Degenerate):
                 analyze(t)
+
+    def test_wide_bbas_score_in_bounded_memory(self, monkeypatch):
+        # 40 focal sets per bba over a 9-hypothesis frame: K is 512, so
+        # a K x K array takes 2 MiB and an M x P x P array of this thread
+        # 1.1 MiB, while one pair's 2P x 2P Jaccard matrix holds 6 400
+        # entries.  The rule sends the thread to the slot packing; with one
+        # pair per tile, picking the packing and scoring must peak under
+        # 1 MiB.
+        import tracemalloc
+
+        frame = MessageFrame(topic_count=7, relevant_topic=1)
+        rng = random.Random(8)
+        messages = []
+        for rank in range(1, 91):
+            subsets = rng.sample(range(1 << 9), 40)
+            weights = [rng.uniform(0.05, 1.0) for _ in subsets]
+            total = fsum(weights)
+            bba = MassFunction(frame.frame, [(s, w / total) for s, w in zip(subsets, weights)])
+            messages.append(Message(author=f"U{rank % 4}", rank=rank, bba=bba))
+        t = Thread(frame=frame, users=("U1", "U2", "U3", "U0"), messages=tuple(messages))
+        default, _ = pipeline._score_rows(t, range(1, 91))
+        monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", 4 * 40 * 40)
+        tracemalloc.start()
+        try:
+            tiled, scoring = pipeline._score_rows(t, range(1, 91))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scoring["packing"] == "slots"
+        assert scoring["vocabulary"] > 500
+        assert tiled == default
+        assert peak < 1 << 20
+
+
+# Each packing forced by the constant that picks it: at 0 every thread takes
+# the slot packing, at infinity every thread takes the vocabulary packing.
+PACKINGS = {"vocabulary": math.inf, "slots": 0}
+
+
+@pytest.fixture(params=sorted(PACKINGS))
+def packing(request, monkeypatch):
+    monkeypatch.setattr(pipeline, "_VOCABULARY_RATIO", PACKINGS[request.param])
+    return request.param
+
+
+def kernel_threads(seed, count=25):
+    """Ragged focal counts, the empty set as a focal element, frames small
+    enough for the dense oracle."""
+    rng = random.Random(seed)
+    return [
+        random_thread(
+            rng, max_users=5, max_messages=12, max_topics=4,
+            max_focal=6, allow_empty=True,
+        )
+        for _ in range(count)
+    ]
+
+
+class TestForcedPacking:
+    def test_one_pair_tiles_match_default_tiles(self, packing, monkeypatch):
+        threads = kernel_threads(31)
+        default = [analyze(t) for t in threads]
+        assert {r.scoring["packing"] for r in default} == {packing}
+        monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", 1)
+        for t, report in zip(threads, default):
+            tiled = analyze(t)
+            assert tiled.per_message == report.per_message
+            assert tiled.per_user == report.per_user
+
+    def test_matches_scalar_conflict_and_oracle(self, packing):
+        for t in kernel_threads(32):
+            report = analyze(t)
+            assert report.scoring["packing"] == packing
+            for rank, got in enumerate(report.per_message, start=1):
+                assert got == pytest.approx(scalar_flat_mean(t, rank), abs=1e-12)
+                assert got == pytest.approx(naive_message_conflict(t, rank), abs=1e-12)
+
+    def test_message_conflict_is_the_analyze_row(self, packing):
+        for t in kernel_threads(33, count=10):
+            report = analyze(t)
+            for rank in range(1, len(t.messages) + 1):
+                assert message_conflict(t, rank) == report.per_message[rank - 1]
+            for user in t.users:
+                assert user_conflict(t, user) == report.per_user[user]
+
+    def test_repeated_bbas_score_exactly_zero(self, packing):
+        frame = MF.frame
+        bbas = [
+            MassFunction(frame, {0: 1.0}),  # all mass on the empty set
+            MassFunction(frame, {0: 0.25, T1: 0.5, frame.full_set: 0.25}),
+            two_focal(T2, 0.7),
+        ]
+        rng = random.Random(11)
+        bbas += [random_mass(rng, frame, allow_empty=True, max_focal=6) for _ in range(10)]
+        for bba in bbas:
+            t = build(("A", bba), ("B", bba), ("A", bba), ("C", bba), ("B", bba))
+            assert [message_conflict(t, r) for r in range(1, 6)] == [0.0] * 5
+            assert [user_conflict(t, u) for u in t.users] == [0.0] * 3
 
 
 class TestVictimEffect:

@@ -155,6 +155,20 @@ class TestPinning:
         with pytest.raises(TypeError):
             spec.pins[1] = 1.0
 
+    def test_users_and_script_are_copied(self):
+        users = [("A", "expert"), ("B", "troll")]
+        script = [
+            ScriptEntry("A", "relevant"),
+            ScriptEntry("B", "controversy", 2),
+            ScriptEntry("A", "relevant"),
+        ]
+        spec = tiny_spec(users=users, script=script)
+        users.append(("C", "learner"))
+        script.append(ScriptEntry("C", "relevant"))
+        assert spec.users == (("A", "expert"), ("B", "troll"))
+        assert len(spec.script) == 3
+        assert len(generate(spec).messages) == 3
+
     def test_pin_does_not_mutate_original(self):
         spec = tiny_spec()
         pin_masses(spec, [(1, 0.8)])
