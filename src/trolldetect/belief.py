@@ -243,12 +243,7 @@ def combine_disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
 def global_conflict(m1: MassFunction, m2: MassFunction) -> float:
     """Total product mass falling on the empty set under conjunction."""
     _require_same_frame(m1, m2)
-    k = 0.0
-    for s1, v1 in m1.items():
-        for s2, v2 in m2.items():
-            if s1 & s2 == 0:
-                k += v1 * v2
-    return k
+    return _combine(m1, m2, lambda a, b: a & b).get(0, 0.0)
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -130,9 +130,7 @@ def analyze(thread: Thread) -> ConflictReport:
 
 
 # Upper bound on the entries of a tile's per-pair temporaries in
-# ``_score_rows``.  A pair counts (2P)^2 entries under the slot packing (its
-# Jaccard matrix) and K + 8 under the vocabulary packing (its K mass
-# differences and the eight pair-sized arrays scored alongside them).
+# ``_score_rows``; each packing reports what one pair costs.
 _BLOCK_ENTRIES = 1 << 16
 
 # The vocabulary packing runs while (K + T) K <= _VOCABULARY_RATIO P^2, with
@@ -150,6 +148,18 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     :func:`message_conflict`), the one scoring path of this module, plus
     counters of the run (messages, users, vocabulary size K, packing, pairs).
 
+    The thread is packed once into slot arrays: row ``i`` holds message
+    ``i``'s focal sets as bitmasks and their masses, padded up to the
+    largest focal count P; a slot is live when its index is below the bba's
+    focal count, which tells a genuine empty focal set (mask 0) from
+    padding.  The vocabulary packing (:func:`_vocabulary_packing`), derived
+    from those arrays on the K distinct focal sets, runs while the rule of
+    ``_VOCABULARY_RATIO`` holds; a generated thread takes it.  A thread of
+    mostly distinct bbas is scored on the slot arrays themselves
+    (:func:`_slot_packing`).  Both take the mass difference before the
+    Jaccard-weighted quadratic form, so identical bbas give exactly 0.
+    Thread validation already guarantees a single frame.
+
     Rows are scored in tiles: a tile holds consecutive requested rows and
     scores them against every message before its last row at once, in
     column blocks, so that its per-pair temporaries stay within
@@ -157,29 +167,22 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     Each row is then reduced over exactly its own earlier messages by other
     authors with ``fsum``, which is order-free, so a row's result does not
     depend on which rows share its tile.
-
-    The thread is packed one of two ways, picked from what it holds: its K
-    distinct focal sets, the T non-zeros of their Jaccard matrix's upper
-    triangle and the largest focal count P.  The vocabulary packing
-    (:func:`_vocabulary_packing`) runs while (K + T) K is at most
-    ``_VOCABULARY_RATIO`` P^2; a generated thread, with a handful of mostly
-    disjoint focal sets, takes it.  A thread of mostly distinct bbas takes
-    the slot packing (:func:`_slot_packing`).
-    Both take the mass difference before the Jaccard-weighted quadratic
-    form, so identical bbas give exactly 0.  Thread validation already
-    guarantees a single frame.
     """
     import numpy as np
 
     messages = thread.messages
-    bbas = [m.bba for m in messages]
-    vocabulary = sorted({s for bba in bbas for s in bba.focal_sets()})
-    width = max(len(bba) for bba in bbas)
-    score = _vocabulary_packing(np, bbas, vocabulary, width)
-    if score is None:
-        score, per_pair, packing = _slot_packing(np, bbas, width), 4 * width * width, "slots"
-    else:
-        per_pair, packing = len(vocabulary) + 8, "vocabulary"
+    sizes = np.array([len(m.bba) for m in messages])
+    live = np.arange(sizes.max()) < sizes[:, None]
+    sets = [s for m in messages for s in m.bba.focal_sets()]
+    masks = np.zeros(live.shape, dtype=np.int64)
+    masks[live] = sets
+    masses = np.zeros(live.shape)
+    masses[live] = [v for m in messages for _, v in m.bba.items()]
+    vocabulary = sorted(set(sets))
+    packed, packing = _vocabulary_packing(np, vocabulary, masks, masses, live), "vocabulary"
+    if packed is None:
+        packed, packing = _slot_packing(np, masks, masses, live), "slots"
+    score, per_pair = packed
     budget = max(1, _BLOCK_ENTRIES // per_pair)  # pairs per tile
     roster = {user: k for k, user in enumerate(thread.users)}
     authors = np.array([roster[m.author] for m in messages])
@@ -230,46 +233,42 @@ def _jaccard(np, x, y):
     return np.divide(np.bitwise_count(x & y), union, out=np.ones(union.shape), where=union > 0)
 
 
-def _vocabulary_packing(np, bbas, vocabulary, width):
-    """Tile scorer over a dense M x K mass matrix on the thread's distinct
-    focal sets, or None when the slot packing is cheaper (see
-    ``_VOCABULARY_RATIO``).
+def _vocabulary_packing(np, vocabulary, masks, masses, live):
+    """Tile scorer over a dense M x K mass matrix A on the thread's sorted
+    distinct focal sets, with its cost per pair: K + 8 entries, its K mass
+    differences and the eight pair-sized arrays scored alongside them.  None
+    when the slot packing is cheaper (see ``_VOCABULARY_RATIO``).
 
-    The K x K Jaccard matrix S and inclusion matrix N are built once.  For
-    a tile, the differences D = A[rows] - A[columns] come first; the form
-    Q = 1/2 sum S_kl D_k D_l is then summed term by term in a fixed order
-    over the non-zeros of S's upper triangle, so every pair gets the same
-    operations whatever its tile.  With F the 0/1 focal indicator, the two
-    inclusion counts are the exact integer products (F N) F^T and F (F N)^T.
+    One pass over the rows of the upper triangle of the K x K Jaccard matrix
+    S collects its non-zeros, the terms of the form (the empty set's
+    similarity with itself is 1, as every set's), and returns None before
+    it turns the row that breaks the rule into terms.  The slot masses are
+    then scattered into A by their sets' places in the vocabulary.  For a
+    tile, the differences D = A[rows] - A[columns] come first; the form
+    Q = 1/2 sum S_kl D_k D_l is then summed term by term in a fixed order,
+    so every pair gets the same operations whatever its tile.  With F the
+    0/1 focal indicator and N the inclusion matrix, the two inclusion counts
+    are the exact integer products (F N) F^T and F (F N)^T.
     """
-    size, limit = len(vocabulary), _VOCABULARY_RATIO * width * width
-    # T >= K (the diagonal), so the rule can fail before T is counted.
-    if 2 * size * size > limit:
-        return None
-    # T a row at a time, so that a thread sent to the slot packing never
-    # builds K x K arrays: sets that meet have a non-zero similarity, and
-    # so has the empty set (first when present) with itself.
-    sets = np.array(vocabulary, dtype=np.int64)
-    count = sum(int(np.count_nonzero(sets[k:] & s)) for k, s in enumerate(vocabulary))
-    if (size + count + (vocabulary[0] == 0)) * size > limit:
-        return None
-    upper = np.triu(_jaccard(np, sets[:, None], sets[None, :]))
-    terms = [
-        (k, l, 0.5 if k == l else float(upper[k, l]))
-        for k, l in np.argwhere(upper).tolist()
-    ]
+    size, sets = len(vocabulary), np.array(vocabulary, dtype=np.int64)
+    limit = _VOCABULARY_RATIO * masks.shape[1] ** 2
+    terms, count = [], 0
+    for k, s in enumerate(vocabulary):
+        row = _jaccard(np, s, sets[k:])
+        found = np.flatnonzero(row).tolist()
+        count += len(found)
+        if (size + count) * size > limit:
+            return None
+        terms += [(k, k + j, 0.5 if j == 0 else float(row[j])) for j in found]
 
-    index = {s: k for k, s in enumerate(vocabulary)}
-    masses = np.zeros((size, len(bbas)))  # A^T, one row per focal set
-    for i, bba in enumerate(bbas):
-        for s, v in bba.items():
-            masses[index[s], i] = v
-    focal = (masses.T > 0.0).astype(float)
+    matrix = np.zeros((size, len(masks)))  # A^T, one row per focal set
+    matrix[np.searchsorted(sets, masks[live]), live.nonzero()[0]] = masses[live]
+    focal = (matrix.T > 0.0).astype(float)
     reach = focal @ ((sets[:, None] & sets[None, :]) == sets[:, None])  # F N: own sets inside each set
-    counts = focal.sum(axis=1)
+    counts = live.sum(axis=1)
 
     def score(rows, start, stop):
-        delta = masses[:, rows, None] - masses[:, None, start:stop]
+        delta = matrix[:, rows, None] - matrix[:, None, start:stop]
         squared = np.zeros(delta.shape[1:])
         term = np.empty(delta.shape[1:])
         for k, l, weight in terms:
@@ -281,23 +280,16 @@ def _vocabulary_packing(np, bbas, vocabulary, width):
         nested = np.maximum(x_in_y, y_in_x) / (counts[rows, None] * counts[None, start:stop])
         return _conflict(np, nested, squared)
 
-    return score
+    return score, size + 8
 
 
-def _slot_packing(np, bbas, width):
-    """Tile scorer over slot arrays: row ``i`` holds message ``i``'s focal
-    sets as bitmasks and their masses, padded with mask 0 and mass 0 up to
-    the largest focal count P.  A slot is live when its mass is positive,
-    which tells a genuine empty focal set from padding.  Each pair is scored
-    with the arithmetic of :func:`~trolldetect.conflict.conflict` on the
-    union of its focal sets: a 2P x 2P Jaccard matrix and one quadratic form
-    per pair."""
-    masks = np.array(
-        [list(bba.focal_sets()) + [0] * (width - len(bba)) for bba in bbas],
-        dtype=np.int64,
-    )
-    masses = np.array([[v for _, v in bba.items()] + [0.0] * (width - len(bba)) for bba in bbas])
-    live = masses > 0.0
+def _slot_packing(np, masks, masses, live):
+    """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
+    per pair, (2P)^2 entries (its Jaccard matrix).  Each pair is scored with
+    the arithmetic of :func:`~trolldetect.conflict.conflict` on the union of
+    its focal sets: a 2P x 2P Jaccard matrix and one quadratic form per
+    pair."""
+    width = masks.shape[1]
     counts = live.sum(axis=1)
 
     def score(rows, start, stop):
@@ -327,4 +319,4 @@ def _slot_packing(np, bbas, width):
         squared = 0.5 * np.einsum("ps,pst,pt->p", delta, similarity, delta)
         return _conflict(np, nested, squared.reshape(shape[:2]))
 
-    return score
+    return score, 4 * width * width

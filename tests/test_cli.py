@@ -238,18 +238,41 @@ for args in (["simulate", "--scenario", "example1", "--out", out],
     assert result.exit_code == 0, result.output
 assert "numpy" not in sys.modules, "numpy was loaded"
 """
+    result = run_python(script, str(tmp_path / "thread.json"))
+    assert result.returncode == 0, result.stderr
+
+
+def test_scoring_leaves_numpy_ma_unloaded():
+    # The kernel loads numpy, but nothing it calls needs numpy.ma (np.unique
+    # would import it), which would add to every scoring command's start-up
+    # time and memory.
+    script = """
+import sys
+from trolldetect import analyze
+from trolldetect.simulate import example1, generate
+
+analyze(generate(example1()))
+assert "numpy" in sys.modules, "the thread was not scored"
+assert "numpy.ma" not in sys.modules, "numpy.ma was loaded"
+"""
+    result = run_python(script)
+    assert result.returncode == 0, result.stderr
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``trolldetect``."""
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = [str(src)] + [
         p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
     ]
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "thread.json")],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert result.returncode == 0, result.stderr
 
 
 class TestDetect:

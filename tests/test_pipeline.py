@@ -14,6 +14,7 @@ from trolldetect import (
     Thread,
     analyze,
     conflict,
+    jaccard,
     message_conflict,
     message_conflict_per_user,
     user_conflict,
@@ -431,6 +432,44 @@ class TestForcedPacking:
             t = build(("A", bba), ("B", bba), ("A", bba), ("C", bba), ("B", bba))
             assert [message_conflict(t, r) for r in range(1, 6)] == [0.0] * 5
             assert [user_conflict(t, u) for u in t.users] == [0.0] * 3
+
+    def test_partial_column_blocks_match_default_tiles(self, packing, monkeypatch):
+        # Budgets from 2 pairs up to the thread's length: a later row's
+        # columns then split into blocks whose last one is cut short.
+        threads = kernel_threads(34)
+        default = [pipeline._score_rows(t, range(1, len(t.messages) + 1)) for t in threads]
+        for t, (per_message, scoring) in zip(threads, default):
+            assert scoring["packing"] == packing
+            for pairs in range(2, len(t.messages) + 1):
+                monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", pairs * pair_cost(t, scoring))
+                tiled, _ = pipeline._score_rows(t, range(1, len(t.messages) + 1))
+                assert tiled == per_message
+
+
+def pair_cost(thread, scoring):
+    """Entries one pair's temporaries take under the packing that scored
+    ``thread``, as each packer reports it."""
+    if scoring["packing"] == "vocabulary":
+        return scoring["vocabulary"] + 8
+    width = max(len(m.bba) for m in thread.messages)
+    return 4 * width * width
+
+
+class TestPackingRule:
+    @pytest.mark.parametrize("empty", [True, False], ids=["empty-set", "no-empty-set"])
+    def test_rule_holds_at_its_boundary(self, empty, monkeypatch):
+        # Certain bbas make P = 1, so the limit is _VOCABULARY_RATIO itself:
+        # the vocabulary packing runs at ratio (K + T) K and not one below.
+        # The empty set counts one term, its similarity with itself.
+        subsets = [T1, T2, T1 | T2, MF.frame.full_set, T2] + ([0] if empty else [])
+        t = build(*((f"U{k % 3}", certain(s)) for k, s in enumerate(subsets)))
+        distinct = sorted(set(subsets))
+        terms = sum(jaccard(a, b) > 0 for k, a in enumerate(distinct) for b in distinct[k:])
+        rule = (len(distinct) + terms) * len(distinct)
+        for ratio, expected in ((rule, "vocabulary"), (rule - 1, "slots")):
+            monkeypatch.setattr(pipeline, "_VOCABULARY_RATIO", ratio)
+            _, scoring = pipeline._score_rows(t, range(1, len(subsets) + 1))
+            assert (scoring["vocabulary"], scoring["packing"]) == (len(distinct), expected)
 
 
 class TestVictimEffect:
