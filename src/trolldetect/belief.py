@@ -13,6 +13,7 @@ cardinality are then single bit operations.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -140,8 +141,10 @@ class MassFunction:
     iterable of ``(subset, mass)`` pairs.  Validation raises
     :class:`InvalidSubset`, :class:`NonFiniteMass`, :class:`NegativeMass`,
     :class:`DuplicateSubset` or :class:`SumNotOne`; masses are checked,
-    never renormalized.  Finite, non-negative masses summing to one leave
-    at least one focal element, so an empty assignment is a
+    never renormalized, and stored as floats.  NaN, an infinity, a
+    ``bool``, a non-number and an integer past the float range are each a
+    :class:`NonFiniteMass`.  Finite, non-negative masses summing to one
+    leave at least one focal element, so an empty assignment is a
     :class:`SumNotOne`.
     """
 
@@ -157,6 +160,8 @@ class MassFunction:
         masses: dict[int, float] = {}
         for subset, mass in assignments:
             frame.check_subset(subset)
+            if type(mass) is not float:
+                mass = _real_mass(mass, subset)
             if not math.isfinite(mass):
                 raise NonFiniteMass(f"mass {mass!r} on subset {subset:#b}")
             if mass < 0.0:
@@ -211,6 +216,18 @@ class MassFunction:
             for s, m in self._masses.items()
         )
         return f"MassFunction({parts})"
+
+
+def _real_mass(mass: object, subset: int) -> float:
+    """A mass that is not a ``float`` as one, or ``NonFiniteMass``."""
+    if isinstance(mass, bool) or not isinstance(mass, numbers.Real):
+        raise NonFiniteMass(
+            f"mass on subset {subset:#b} is a {type(mass).__name__}, not a real number"
+        )
+    try:
+        return float(mass)
+    except OverflowError:
+        raise NonFiniteMass(f"mass on subset {subset:#b} is past the float range") from None
 
 
 def _require_same_frame(m1: MassFunction, m2: MassFunction) -> None:

@@ -6,7 +6,6 @@ malformed thread file, bad ranks), 3 degenerate clustering.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import replace
@@ -18,7 +17,7 @@ from .conflict import conflict, inclusion_degree, symmetric_inclusion
 from .belief import jousselme_distance
 from .errors import BeliefError, Degenerate
 from .pipeline import analyze
-from .simulate import BUILTIN_SCENARIOS, GENERATOR_ID, generate, spec_from_dict
+from .simulate import BUILTIN_SCENARIOS, GENERATOR_ID, generate, load_spec
 from .thread import load_thread, thread_to_dict, write_json_atomic
 
 EXIT_IO = 1
@@ -37,15 +36,16 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_thread_or_exit(path: str):
+def _load_or_exit(load, path: str, kind: str):
+    """``load(path)``, or exit with the code for why the file was refused."""
     try:
-        return load_thread(path)
+        return load(path)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
     except _UNREADABLE as exc:
         _fail(EXIT_INVALID, f"{path} is not valid JSON: {exc}")
     except BeliefError as exc:
-        _fail(EXIT_INVALID, f"{path} is not a valid thread: {exc}")
+        _fail(EXIT_INVALID, f"{path} is not a valid {kind}: {exc}")
 
 
 @click.group()
@@ -73,17 +73,7 @@ def simulate(scenario, spec_path, seed, out_path):
     if scenario is not None:
         spec = BUILTIN_SCENARIOS[scenario]()
     else:
-        try:
-            with open(spec_path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            _fail(EXIT_IO, f"cannot read {spec_path}: {exc}")
-        except _UNREADABLE as exc:
-            _fail(EXIT_INVALID, f"{spec_path} is not valid JSON: {exc}")
-        try:
-            spec = spec_from_dict(raw)
-        except BeliefError as exc:
-            _fail(EXIT_INVALID, f"invalid scenario: {exc}")
+        spec = _load_or_exit(load_spec, spec_path, "scenario")
     if seed is not None:
         spec = replace(spec, seed=seed)
     try:
@@ -114,7 +104,7 @@ def simulate(scenario, spec_path, seed, out_path):
 )
 def detect(thread_path, json_path):
     """Score a thread's users and split them into trolls and others."""
-    thread = _load_thread_or_exit(thread_path)
+    thread = _load_or_exit(load_thread, thread_path, "thread")
     started = time.perf_counter()
     try:
         report = analyze(thread)
@@ -154,7 +144,7 @@ def detect(thread_path, json_path):
 @click.option("--b", "rank_b", type=int, required=True, help="Second message rank.")
 def conflict_pair(thread_path, rank_a, rank_b):
     """Inspect the conflict between two messages of a thread."""
-    thread = _load_thread_or_exit(thread_path)
+    thread = _load_or_exit(load_thread, thread_path, "thread")
     try:
         first = thread.message(rank_a)
         second = thread.message(rank_b)

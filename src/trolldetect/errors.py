@@ -10,7 +10,8 @@ class InvalidSubset(BeliefError):
 
 
 class NonFiniteMass(BeliefError):
-    """A mass assignment carries NaN or an infinity."""
+    """A mass is not a finite real number: NaN, an infinity, a bool, a
+    non-number, or a number past the float range."""
 
 
 class NegativeMass(BeliefError):

@@ -12,15 +12,17 @@ threads are reproduced.
 
 from __future__ import annotations
 
+import json
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from types import MappingProxyType
 from typing import Any
 
 from .belief import MassFunction
 from .errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
-from .thread import Message, MessageFrame, Thread
+from .thread import Message, MessageFrame, Thread, _check_roster
 
 __all__ = [
     "GENERATOR_ID",
@@ -32,6 +34,7 @@ __all__ = [
     "generate",
     "spec_from_dict",
     "spec_to_dict",
+    "load_spec",
     "example1",
     "example2",
     "BUILTIN_SCENARIOS",
@@ -63,7 +66,9 @@ class ScenarioSpec:
 
     Checked at construction: an invalid recipe raises ``InvalidSpec``
     (``RankOutOfBounds`` or ``MassOutOfRange`` for a bad pin), so
-    ``generate`` checks nothing itself.  ``users`` and ``script`` are
+    ``generate`` checks nothing itself.  The frame and roster rules are
+    the ones ``Thread`` applies (``MessageFrame``, ``_check_roster``), so a
+    valid spec always generates a valid thread.  ``users`` and ``script`` are
     stored as tuples and ``pins`` read-only, so the caller's containers
     cannot change a checked spec.
     """
@@ -79,30 +84,22 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(tuple(user) for user in self.users))
         object.__setattr__(self, "script", tuple(self.script))
+        if not self.script:
+            raise InvalidSpec("empty script")
         try:
-            MessageFrame(topic_count=self.topic_count, relevant_topic=self.relevant_topic)
+            frame = MessageFrame(
+                topic_count=self.topic_count, relevant_topic=self.relevant_topic
+            )
+            _check_roster(self.user_ids(), [entry.author for entry in self.script])
         except InvalidThread as exc:
             raise InvalidSpec(str(exc)) from None
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
-        ids = self.user_ids()
-        for uid in ids:
-            if not isinstance(uid, str):
-                raise InvalidSpec(f"user ids must be strings, got {uid!r}")
-        if len(ids) < 2:
-            raise InvalidSpec("a scenario needs at least two users")
-        if len(set(ids)) != len(ids):
-            raise InvalidSpec("duplicate user ids")
         for uid, role in self.users:
             if role not in ROLES:
                 raise InvalidSpec(f"unknown role {role!r} for {uid!r}")
-        if not self.script:
-            raise InvalidSpec("empty script")
-        known = set(ids)
-        authors = set()
+        controversy = frame.controversy_topics()
         for i, entry in enumerate(self.script):
-            if entry.author not in known:
-                raise InvalidSpec(f"script entry {i}: unknown author {entry.author!r}")
             if entry.category not in CATEGORIES:
                 raise InvalidSpec(f"script entry {i}: unknown category {entry.category!r}")
             if entry.category == "controversy":
@@ -112,23 +109,15 @@ class ScenarioSpec:
                     raise InvalidSpec(
                         f"script entry {i}: topic must be an integer, got {entry.topic!r}"
                     )
-                if not 1 <= entry.topic <= self.topic_count:
+                if entry.topic not in controversy:
                     raise InvalidSpec(
-                        f"script entry {i}: topic {entry.topic} outside "
-                        f"1..{self.topic_count}"
-                    )
-                if entry.topic == self.relevant_topic:
-                    raise InvalidSpec(
-                        f"script entry {i}: controversy topic equals the relevant topic"
+                        f"script entry {i}: topic {entry.topic} is not one of the "
+                        f"controversy topics {list(controversy)}"
                     )
             elif entry.topic is not None:
                 raise InvalidSpec(
                     f"script entry {i}: topic only applies to controversy entries"
                 )
-            authors.add(entry.author)
-        silent = [uid for uid in ids if uid not in authors]
-        if silent:
-            raise InvalidSpec(f"{len(silent)} users never post, first {silent[0]!r}")
         if len(self.concentration) != 2:
             raise InvalidSpec("concentration must be a (lo, hi) pair")
         lo, hi = self.concentration
@@ -243,6 +232,11 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed scenario document: {exc}") from None
+
+
+def load_spec(path: str | Path) -> ScenarioSpec:
+    with open(path, encoding="utf-8") as fh:
+        return spec_from_dict(json.load(fh))
 
 
 def _script(*entries: tuple[str, str] | tuple[str, str, int]) -> tuple[ScriptEntry, ...]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .belief import Frame, MassFunction
-from .errors import InvalidThread, RankOutOfBounds, UnknownUser
+from .belief import MAX_FRAME_SIZE, Frame, MassFunction
+from .errors import BeliefError, InvalidThread, RankOutOfBounds, UnknownUser
 
 __all__ = [
     "OFF_TOPIC",
@@ -32,10 +32,33 @@ __all__ = [
 
 OFF_TOPIC = "Off-topic"
 SENSELESS = "Senseless"
+_MAX_TOPICS = MAX_FRAME_SIZE - 2  # the frame also holds OFF_TOPIC and SENSELESS
 
 
 def topic_label(index: int) -> str:
     return f"Topic_{index}"
+
+
+def _check_roster(users: tuple, authors: list) -> None:
+    """The roster rules a thread and a scenario share: string ids, at least
+    two users (conflict is measured against *other* users), no duplicate
+    ids, every author on the roster, and every user posts.  ``authors``
+    lists each post's author in order.  Raises ``InvalidThread``."""
+    for uid in users:
+        if not isinstance(uid, str):
+            raise InvalidThread(f"user ids must be strings, got {uid!r}")
+    if len(users) < 2:
+        raise InvalidThread("the roster needs at least two users")
+    roster = set(users)
+    if len(roster) != len(users):
+        raise InvalidThread("duplicate user ids in roster")
+    posted = set(authors)
+    if not posted <= roster:
+        author = next(a for a in authors if a not in roster)
+        raise InvalidThread(f"author {author!r} is not on the roster")
+    if len(posted) != len(roster):
+        silent = [uid for uid in users if uid not in posted]
+        raise InvalidThread(f"{len(silent)} users never post, first {silent[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +80,10 @@ class MessageFrame:
                 raise InvalidThread(f"{key} must be an integer")
         if self.topic_count < 1:
             raise InvalidThread(f"topic_count must be >= 1, got {self.topic_count}")
-        if self.topic_count > 14:
+        if self.topic_count > _MAX_TOPICS:
             raise InvalidThread(
-                f"topic_count {self.topic_count} exceeds 14 (frame capped at 16)"
+                f"topic_count {self.topic_count} exceeds {_MAX_TOPICS} "
+                f"(frame capped at {MAX_FRAME_SIZE})"
             )
         if not 1 <= self.relevant_topic <= self.topic_count:
             raise InvalidThread(
@@ -106,9 +130,8 @@ class Message:
 class Thread:
     """A validated discussion thread.
 
-    Ranks must be exactly 1..M, every author must be on the roster, every
-    roster user must post at least once, and the roster needs at least two
-    users (conflict is measured against *other* users).
+    The roster passes ``_check_roster``, ranks must be exactly the ints
+    1..M, and every message uses the thread's frame.
     """
 
     frame: MessageFrame
@@ -117,33 +140,24 @@ class Thread:
 
     def __post_init__(self):
         users = tuple(self.users)
-        if len(users) < 2:
-            raise InvalidThread("a thread needs at least two users")
-        if len(set(users)) != len(users):
-            raise InvalidThread("duplicate user ids in roster")
         messages = tuple(sorted(self.messages, key=lambda m: m.rank))
-        misplaced = [(p, m.rank) for p, m in enumerate(messages, start=1) if m.rank != p]
+        _check_roster(users, [msg.author for msg in messages])
+        misplaced = [
+            (p, m.rank)
+            for p, m in enumerate(messages, start=1)
+            if m.rank != p or type(m.rank) is not int  # 1.0 and True equal 1
+        ]
         if misplaced:
             position, rank = misplaced[0]
             raise InvalidThread(
                 f"ranks must be exactly 1..{len(messages)} with no gaps: "
                 f"{len(misplaced)} out of place, first rank {rank} at position {position}"
             )
-        roster = set(users)
-        posted = set()
         for msg in messages:
-            if msg.author not in roster:
-                raise InvalidThread(f"author {msg.author!r} is not on the roster")
             if msg.bba.frame != self.frame.frame:
                 raise InvalidThread(
                     f"message {msg.rank} uses a different frame than the thread"
                 )
-            posted.add(msg.author)
-        silent = [u for u in users if u not in posted]
-        if silent:
-            raise InvalidThread(
-                f"{len(silent)} users with no messages, first {silent[0]!r}"
-            )
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "messages", messages)
 
@@ -217,9 +231,11 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
             if subset is None:
                 subset = subsets[key] = frame.frame.subset(labels)
             assignments.append((subset, mass))
-        messages.append(
-            Message(author=author, rank=rank, bba=MassFunction(frame.frame, assignments))
-        )
+        try:
+            bba = MassFunction(frame.frame, assignments)
+        except BeliefError as exc:  # same type, naming the message
+            raise type(exc)(f"message {i}: {exc}") from None
+        messages.append(Message(author=author, rank=rank, bba=bba))
     return Thread(frame=frame, users=tuple(users), messages=tuple(messages))
 
 

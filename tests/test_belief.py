@@ -118,6 +118,24 @@ class TestMassFunction:
         with pytest.raises(NonFiniteMass):
             MassFunction(AB, [(A, 1.0), (B, bad)])
 
+    @pytest.mark.parametrize(
+        "bad, text",
+        [
+            (True, "mass on subset 0b1 is a bool, not a real number"),
+            ("1", "mass on subset 0b1 is a str, not a real number"),
+            (10**400, "mass on subset 0b1 is past the float range"),
+        ],
+        ids=["bool", "str", "400-digit-int"],
+    )
+    def test_mass_that_is_not_a_real_float_rejected(self, bad, text):
+        with pytest.raises(NonFiniteMass) as err:
+            MassFunction(AB, [(A, bad)])
+        assert str(err.value) == text
+
+    def test_integer_mass_stored_as_float(self):
+        m = MassFunction(AB, {A: 1})
+        assert type(m.mass(A)) is float
+
     def test_empty_assignment_rejected(self):
         with pytest.raises(SumNotOne):
             MassFunction(AB, [])

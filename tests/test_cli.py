@@ -149,6 +149,19 @@ class TestSimulate:
         assert text in result.output
         assert not out.exists()
 
+    def test_invalid_spec_error_names_the_file(self, runner, tmp_path):
+        spec = spec_to_dict(example1())
+        spec["users"][1]["id"] = "U1"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(
+            main, ["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "o.json")]
+        )
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: {spec_path} is not a valid scenario: duplicate user ids in roster\n"
+        )
+
     def test_scenario_and_spec_together_rejected(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -418,6 +431,27 @@ class TestDetect:
         assert isinstance(result.exception, SystemExit)
         assert "not a valid thread" in result.output
         assert "Traceback" not in result.output
+
+    def test_bad_bba_error_names_its_message(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "topic_count": 2,
+                    "relevant_topic": 1,
+                    "users": ["U1", "U2"],
+                    "messages": [
+                        {"rank": 1, "author": "U1", "bba": [{"set": ["Topic_1"], "mass": 1.0}]},
+                        {"rank": 2, "author": "U2", "bba": [{"set": ["Topic_2"], "mass": 0.5}]},
+                    ],
+                }
+            )
+        )
+        result = runner.invoke(main, ["detect", "--thread", str(bad)])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: {bad} is not a valid thread: message 1: masses sum to 0.5, expected 1\n"
+        )
 
     def test_rank_gap_is_validation_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,8 +6,12 @@ from dataclasses import replace
 import pytest
 
 from trolldetect import (
+    MassFunction,
+    Message,
+    MessageFrame,
     ScenarioSpec,
     ScriptEntry,
+    Thread,
     analyze,
     example1,
     example2,
@@ -15,7 +19,7 @@ from trolldetect import (
     pin_masses,
     thread_to_dict,
 )
-from trolldetect.errors import InvalidSpec, MassOutOfRange, RankOutOfBounds
+from trolldetect.errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
 from trolldetect.simulate import spec_from_dict, spec_to_dict
 
 
@@ -42,13 +46,72 @@ class TestValidation:
             ({"script": ()}, "empty script"),
             ({"topic_count": True}, "topic_count must be an integer"),
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            (
+                {"users": (("A", "expert"),), "script": (ScriptEntry("A", "relevant"),)},
+                "the roster needs at least two users",
+            ),
+            (
+                {"users": (("A", "expert"), ("B", "troll"), ("A", "learner"))},
+                "duplicate user ids in roster",
+            ),
+            (
+                {"script": (ScriptEntry("A", "relevant"), ScriptEntry("B", "rant"))},
+                "script entry 1: unknown category 'rant'",
+            ),
+            (
+                {"script": (ScriptEntry("A", "relevant"), ScriptEntry("B", "controversy", 3))},
+                "script entry 1: topic 3 is not one of the controversy topics [2]",
+            ),
+            (
+                {"script": (ScriptEntry("A", "relevant"), ScriptEntry("B", "controversy", 1))},
+                "script entry 1: topic 1 is not one of the controversy topics [2]",
+            ),
         ],
-        ids=["empty-script", "bool-topic-count", "string-seed"],
+        ids=[
+            "empty-script",
+            "bool-topic-count",
+            "string-seed",
+            "one-user",
+            "duplicate-ids",
+            "unknown-category",
+            "topic-outside-range",
+            "relevant-topic-as-controversy",
+        ],
     )
     def test_checked_at_construction(self, overrides, text):
         with pytest.raises(InvalidSpec) as err:
             tiny_spec(**overrides)
         assert str(err.value) == text
+
+    @pytest.mark.parametrize(
+        "users, authors, text",
+        [
+            (("A", 1), ["A", 1], "user ids must be strings, got 1"),
+            (("A",), ["A"], "the roster needs at least two users"),
+            (("A", "B", "A"), ["A", "B"], "duplicate user ids in roster"),
+            (("A", "B"), ["A", "B", "C"], "author 'C' is not on the roster"),
+            (("A", "B", "C"), ["A", "B"], "1 users never post, first 'C'"),
+        ],
+        ids=["non-string-id", "one-user", "duplicate-id", "unknown-author", "silent-user"],
+    )
+    def test_spec_and_thread_share_roster_texts(self, users, authors, text):
+        frame = MessageFrame(topic_count=2, relevant_topic=1)
+        bba = MassFunction.vacuous(frame.frame)
+        with pytest.raises(InvalidSpec) as spec_err:
+            tiny_spec(
+                users=tuple((uid, "expert") for uid in users),
+                script=tuple(ScriptEntry(author, "relevant") for author in authors),
+            )
+        with pytest.raises(InvalidThread) as thread_err:
+            Thread(
+                frame=frame,
+                users=users,
+                messages=tuple(
+                    Message(author=author, rank=rank, bba=bba)
+                    for rank, author in enumerate(authors, start=1)
+                ),
+            )
+        assert str(spec_err.value) == str(thread_err.value) == text
 
     def test_empty_script_rejected(self):
         with pytest.raises(InvalidSpec):

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trolldetect import (
     analyze,
@@ -77,6 +78,11 @@ class TestMessageFrame:
         with pytest.raises(InvalidThread, match="^relevant_topic must be an integer$"):
             MessageFrame(topic_count=2, relevant_topic=value)
 
+    def test_topic_set_out_of_range(self):
+        with pytest.raises(InvalidThread) as err:
+            MF.topic_set(0)
+        assert str(err.value) == "topic 0 outside 1..2"
+
     def test_types_are_checked_before_ranges(self):
         with pytest.raises(InvalidThread, match="^relevant_topic must be an integer$"):
             MessageFrame(topic_count=0, relevant_topic=1.0)
@@ -129,6 +135,19 @@ class TestThreadValidation:
         with pytest.raises(InvalidThread) as err:
             Thread(frame=MF, users=users, messages=tuple(messages))
         assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize(
+        "ranks, text",
+        [
+            ((1.0, 2.0), "2 out of place, first rank 1.0 at position 1"),
+            ((True, 2), "1 out of place, first rank True at position 1"),
+        ],
+        ids=["float-ranks", "bool-rank"],
+    )
+    def test_rank_that_is_not_an_int_rejected(self, ranks, text):
+        with pytest.raises(InvalidThread) as err:
+            Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", ranks[0]), msg("U2", ranks[1])))
+        assert str(err.value) == "ranks must be exactly 1..2 with no gaps: " + text
 
     def test_single_user_rejected(self):
         with pytest.raises(InvalidThread):
@@ -428,6 +447,10 @@ MALFORMED = [
      InvalidThread, "message 1: bba entry 0: 'mass' is out of float range"),
     ("unknown-label", _malformed(_set_first_entry("set", ["Topic_2", "Topic_9"])),
      InvalidSubset, f"'Topic_9' is not a hypothesis of {FRAME_REPR}"),
+    ("duplicate-user", _malformed(lambda d: d["users"].append("U1")), InvalidThread,
+     "duplicate user ids in roster"),
+    ("bad-sum", _malformed(_set_first_entry("mass", 0.5)), SumNotOne,
+     "message 1: masses sum to 0.5, expected 1"),
 ]
 
 
@@ -449,3 +472,51 @@ def test_any_json_document_is_a_thread_or_a_belief_error(doc):
     except BeliefError:
         return
     assert isinstance(thread, Thread)
+
+
+@st.composite
+def constructed_thread_parts(draw):
+    """(topic_count, users, [[author, rank, {subset: mass}]]) for the public
+    constructors: a valid thread, or one with a single value swapped for
+    one a thread file cannot hold as given (a float or bool rank, an int,
+    bool, string or 400-digit mass, a non-string user id)."""
+    topic_count = draw(st.integers(1, 3))
+    full = (1 << (topic_count + 2)) - 1
+    users = draw(st.lists(st.text(max_size=3), min_size=2, max_size=4, unique=True))
+    authors = draw(st.permutations(users + draw(st.lists(st.sampled_from(users), max_size=3))))
+    posts = []
+    for rank, author in enumerate(authors, start=1):
+        dominant = draw(st.floats(0.01, 0.99))
+        posts.append([author, rank, {draw(st.integers(1, full - 1)): dominant, full: 1.0 - dominant}])
+    post = draw(st.sampled_from(posts))
+    swap = draw(st.sampled_from([None, None, "rank", "mass", "user"]))
+    if swap == "rank":
+        post[1] = draw(st.sampled_from([float(post[1]), True]))
+    elif swap == "mass":
+        post[2] = {full: draw(st.sampled_from([1, True, "1", 10**400]))}
+    elif swap == "user":
+        name, odd = post[0], draw(st.sampled_from([7, None]))
+        users = [odd if uid == name else uid for uid in users]
+        for other in posts:
+            if other[0] == name:
+                other[0] = odd
+    return topic_count, users, posts
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructed_thread_parts())
+def test_constructed_thread_round_trips_through_its_document(parts):
+    topic_count, users, posts = parts
+    frame = MessageFrame(topic_count=topic_count, relevant_topic=1)
+    try:
+        thread = Thread(
+            frame=frame,
+            users=tuple(users),
+            messages=tuple(
+                Message(author=author, rank=rank, bba=MassFunction(frame.frame, masses))
+                for author, rank, masses in posts
+            ),
+        )
+    except BeliefError:
+        return
+    assert thread_from_dict(thread_to_dict(thread)) == thread
