@@ -155,16 +155,18 @@ class MassFunction:
         frame: Frame,
         assignments: Mapping[int, float] | Iterable[tuple[int, float]],
     ):
-        if isinstance(assignments, Mapping):
+        if type(assignments) is not list and isinstance(assignments, Mapping):
             assignments = assignments.items()
+        full = frame.full_set
         masses: dict[int, float] = {}
         for subset, mass in assignments:
-            frame.check_subset(subset)
+            if type(subset) is not int or not 0 <= subset <= full:
+                frame.check_subset(subset)  # raises, or passes an int subclass
             if type(mass) is not float:
                 mass = _real_mass(mass, subset)
-            if not math.isfinite(mass):
-                raise NonFiniteMass(f"mass {mass!r} on subset {subset:#b}")
-            if mass < 0.0:
+            if not 0.0 <= mass < math.inf:  # false for NaN, an infinity or a negative
+                if not math.isfinite(mass):
+                    raise NonFiniteMass(f"mass {mass!r} on subset {subset:#b}")
                 raise NegativeMass(f"mass {mass!r} on subset {subset:#b}")
             if subset in masses:
                 raise DuplicateSubset(f"subset {subset:#b} assigned twice")
@@ -175,9 +177,11 @@ class MassFunction:
             raise SumNotOne("masses sum past the float range, expected 1") from None
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise SumNotOne(f"masses sum to {total!r}, expected 1")
+        if 0.0 in masses.values():  # -0.0 as well
+            masses = {s: m for s, m in masses.items() if m > 0.0}
         # Sorted storage gives every downstream loop a deterministic order.
         self._frame = frame
-        self._masses = {s: m for s, m in sorted(masses.items()) if m > 0.0}
+        self._masses = dict(sorted(masses.items()))
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":

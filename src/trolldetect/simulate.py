@@ -13,6 +13,7 @@ threads are reproduced.
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from typing import Any
 
 from .belief import MassFunction
 from .errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
-from .thread import Message, MessageFrame, Thread, _check_roster
+from .thread import Message, MessageFrame, Thread, _check_roster, _nogc
 
 __all__ = [
     "GENERATOR_ID",
@@ -140,6 +141,9 @@ def _check_pin(rank: int, mass: float, script_length: int) -> None:
         raise InvalidSpec(f"pinned rank must be an integer, got {rank!r}")
     if not 1 <= rank <= script_length:
         raise RankOutOfBounds(f"pinned rank {rank} outside 1..{script_length}")
+    # A Decimal compares with floats but cannot be subtracted from one.
+    if not isinstance(mass, numbers.Real):
+        raise InvalidSpec(f"pinned mass must be a real number, got {mass!r}")
     # 1.0 is rejected on purpose: every generated bba keeps two focal
     # elements, so the ignorance remainder must stay positive.
     if not 0.0 < mass < 1.0:
@@ -167,6 +171,7 @@ def _category_set(frame: MessageFrame, entry: ScriptEntry) -> int:
     return frame.topic_set(entry.topic)
 
 
+@_nogc
 def generate(spec: ScenarioSpec) -> Thread:
     """Deterministically expand a scenario into a thread.
 
@@ -174,16 +179,19 @@ def generate(spec: ScenarioSpec) -> Thread:
     one rank never shifts the values sampled for the others.
     """
     frame = MessageFrame(topic_count=spec.topic_count, relevant_topic=spec.relevant_topic)
+    full = frame.frame.full_set
     lo, hi = spec.concentration
     rng = random.Random(spec.seed)
+    focal_sets: dict[tuple[str, int | None], int] = {}  # (category, topic) -> mask
     messages = []
     for rank, entry in enumerate(spec.script, start=1):
         dominant = rng.uniform(lo, hi)
         dominant = spec.pins.get(rank, dominant)
-        focal = _category_set(frame, entry)
-        bba = MassFunction(
-            frame.frame, {focal: dominant, frame.frame.full_set: 1.0 - dominant}
-        )
+        key = (entry.category, entry.topic)
+        focal = focal_sets.get(key)
+        if focal is None:
+            focal = focal_sets[key] = _category_set(frame, entry)
+        bba = MassFunction(frame.frame, [(focal, dominant), (full, 1.0 - dominant)])
         messages.append(Message(author=entry.author, rank=rank, bba=bba))
     return Thread(frame=frame, users=spec.user_ids(), messages=tuple(messages))
 
@@ -234,6 +242,7 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
         raise InvalidSpec(f"malformed scenario document: {exc}") from None
 
 
+@_nogc
 def load_spec(path: str | Path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))

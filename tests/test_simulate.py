@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 
@@ -196,6 +197,30 @@ class TestPinning:
         document["pins"] = [{"rank": rank, "mass": 0.9}]
         with pytest.raises(InvalidSpec, match="pinned rank must be an integer"):
             spec_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "mass, error, text",
+        [
+            (Decimal("0.9"), InvalidSpec, "pinned mass must be a real number, got Decimal('0.9')"),
+            ("0.9", InvalidSpec, "pinned mass must be a real number, got '0.9'"),
+            (None, InvalidSpec, "pinned mass must be a real number, got None"),
+            (True, MassOutOfRange, "pinned mass True outside (0, 1)"),
+            (0.0, MassOutOfRange, "pinned mass 0.0 outside (0, 1)"),
+            (1.0, MassOutOfRange, "pinned mass 1.0 outside (0, 1)"),
+        ],
+        ids=["decimal", "str", "none", "bool", "zero", "one"],
+    )
+    @pytest.mark.parametrize("through", ["pin_masses", "spec_from_dict"])
+    def test_pin_mass_must_be_a_real_number_in_range(self, mass, error, text, through):
+        with pytest.raises(error) as err:
+            if through == "pin_masses":
+                pin_masses(example1(), [(1, mass)])
+            else:
+                document = spec_to_dict(example1())
+                document["pins"][0]["mass"] = mass
+                spec_from_dict(document)
+        assert type(err.value) is error
+        assert str(err.value) == text
 
     def test_bool_pin_beside_integer_pin_rejected(self):
         # True == 1, so as a dict key it would silently merge with rank 1

@@ -1,11 +1,14 @@
 """Thread data model and its JSON file format."""
 
+import enum
+import gc
 import json
 import os
 import random
 import stat
 import sys
 import threading
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -141,8 +144,9 @@ class TestThreadValidation:
         [
             ((1.0, 2.0), "2 out of place, first rank 1.0 at position 1"),
             ((True, 2), "1 out of place, first rank True at position 1"),
+            (("1", 2), "1 out of place, first rank 1 at position 1"),
         ],
-        ids=["float-ranks", "bool-rank"],
+        ids=["float-ranks", "bool-rank", "mixed-type-ranks"],
     )
     def test_rank_that_is_not_an_int_rejected(self, ranks, text):
         with pytest.raises(InvalidThread) as err:
@@ -462,6 +466,93 @@ def test_malformed_document_message(doc, error, text):
         thread_from_dict(doc)
     assert type(err.value) is error
     assert str(err.value) == text
+
+
+class _Rank(enum.IntEnum):
+    TWO = 2
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _second_message(key, make):
+    return lambda d: d["messages"][1].__setitem__(key, make(d["messages"][1][key]))
+
+
+def _append_entry(labels, mass):
+    return lambda d: d["messages"][1]["bba"].append({"set": labels, "mass": mass})
+
+
+# Documents whose values are not the exact types json.load returns, or
+# whose masses sit at the edges of the float checks: each is accepted as
+# the plain SAMPLE thread, or rejected with the given type and text, just
+# as the isinstance checks behind the exact-type shortcuts judge it.  (A
+# bool rank is MALFORMED's "bool-rank".)
+SHORTCUT_CASES = [
+    ("mapping-proxy-message",
+     _malformed(lambda d: d["messages"].__setitem__(1, MappingProxyType(d["messages"][1]))),
+     None, None),
+    ("mapping-proxy-entry", _malformed(_second_message("bba", lambda b: [MappingProxyType(b[0])])),
+     None, None),
+    ("list-subclass-bba", _malformed(_second_message("bba", _List)), None, None),
+    ("list-subclass-set", _malformed(lambda d: d["messages"][1]["bba"][0].update(set=_List(["Topic_2"]))),
+     None, None),
+    ("str-subclass-author", _malformed(_second_message("author", _Str)), None, None),
+    ("str-subclass-label", _malformed(lambda d: d["messages"][1]["bba"][0].update(set=[_Str("Topic_2")])),
+     None, None),
+    ("int-enum-rank", _malformed(_second_message("rank", _Rank)), InvalidThread,
+     "ranks must be exactly 1..2 with no gaps: 1 out of place, first rank 2 at position 2"),
+    ("seen-labels-then-list-label",
+     _malformed(lambda d: (_append_entry(["Topic_1"], 0.0)(d), _append_entry([["Topic_1"]], 0.0)(d))),
+     InvalidThread, "message 1: bba entry 2: 'set' must be a list of strings"),
+    ("negative-zero-mass", _malformed(_append_entry(["Topic_1"], -0.0)), None, None),
+    ("nan-mass", _malformed(_append_entry(["Topic_1"], float("nan"))), NonFiniteMass,
+     "message 1: mass nan on subset 0b100"),
+    ("minus-inf-mass", _malformed(_append_entry(["Topic_1"], float("-inf"))), NonFiniteMass,
+     "message 1: mass -inf on subset 0b100"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, error, text", [case[1:] for case in SHORTCUT_CASES], ids=[case[0] for case in SHORTCUT_CASES]
+)
+def test_exact_type_shortcuts_judge_like_the_full_checks(doc, error, text):
+    if error is None:
+        assert thread_from_dict(doc) == thread_from_dict(SAMPLE)
+        return
+    with pytest.raises(error) as err:
+        thread_from_dict(doc)
+    assert type(err.value) is error
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
+def test_loading_leaves_the_collector_as_it_found_it(tmp_path, enabled, malformed):
+    path = tmp_path / "thread.json"
+    path.write_text('{"users": []}' if malformed else json.dumps(SAMPLE), encoding="utf-8")
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if malformed:
+            with pytest.raises(InvalidThread):
+                load_thread(path)
+        else:
+            load_thread(path)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 @settings(max_examples=400, deadline=None)
