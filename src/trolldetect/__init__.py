@@ -49,6 +49,7 @@ from .thread import (
     load_thread,
     thread_from_dict,
     thread_to_dict,
+    thread_to_json,
 )
 from . import errors
 
@@ -71,6 +72,7 @@ __all__ = [
     "Thread",
     "thread_from_dict",
     "thread_to_dict",
+    "thread_to_json",
     "load_thread",
     "ConflictReport",
     "message_conflict_per_user",

@@ -18,7 +18,11 @@ from .belief import jousselme_distance
 from .errors import BeliefError, Degenerate
 from .pipeline import analyze
 from .simulate import BUILTIN_SCENARIOS, GENERATOR_ID, generate, load_spec
-from .thread import load_thread, thread_to_dict, write_json_atomic
+from .thread import load_thread, thread_to_json, write_json_atomic
+
+# Unused here, but bench/tracing.py wraps it by this module's name (the
+# ``thread.to_dict`` span), so it stays bound.
+from .thread import thread_to_dict  # noqa: F401
 
 EXIT_IO = 1
 EXIT_INVALID = 2
@@ -80,15 +84,14 @@ def simulate(scenario, spec_path, seed, out_path):
         thread = generate(spec)
     except BeliefError as exc:
         _fail(EXIT_INVALID, f"invalid scenario: {exc}")
-    document = thread_to_dict(thread)
-    document["meta"] = {
+    meta = {
         "tool": "trolldetect",
         "version": __version__,
         "generator": GENERATOR_ID,
         "seed": spec.seed,
     }
     try:
-        write_json_atomic(document, out_path)
+        write_json_atomic(thread_to_json(thread, meta), out_path)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
     click.echo(

@@ -97,11 +97,11 @@ class ScenarioSpec:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
         for uid, role in self.users:
-            if role not in ROLES:
+            if not isinstance(role, str) or role not in ROLES:  # ["x"] is unhashable
                 raise InvalidSpec(f"unknown role {role!r} for {uid!r}")
         controversy = frame.controversy_topics()
         for i, entry in enumerate(self.script):
-            if entry.category not in CATEGORIES:
+            if not isinstance(entry.category, str) or entry.category not in CATEGORIES:
                 raise InvalidSpec(f"script entry {i}: unknown category {entry.category!r}")
             if entry.category == "controversy":
                 if entry.topic is None:

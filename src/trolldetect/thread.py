@@ -29,6 +29,7 @@ __all__ = [
     "Message",
     "Thread",
     "thread_from_dict",
+    "thread_to_json",
     "thread_to_dict",
     "load_thread",
 ]
@@ -68,21 +69,33 @@ def _nogc(fn):
 
 
 def _check_roster(users: tuple, authors: list) -> None:
-    """The roster rules a thread and a scenario share: string ids, at least
-    two users (conflict is measured against *other* users), no duplicate
-    ids, every author on the roster, and every user posts.  ``authors``
-    lists each post's author in order.  Raises ``InvalidThread``."""
+    """The roster rules a thread and a scenario share: string ids that
+    UTF-8 can encode (the CLI prints them), at least two users (conflict is
+    measured against *other* users), no duplicate ids, every author on the
+    roster, and every user posts.  ``authors`` lists each post's author in
+    order.  Raises ``InvalidThread``."""
     for uid in users:
         if not isinstance(uid, str):
             raise InvalidThread(f"user ids must be strings, got {uid!r}")
+        if not uid.isascii():
+            try:
+                uid.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidThread(
+                    f"user id {uid!r} holds a lone surrogate, which UTF-8 cannot encode"
+                ) from None
     if len(users) < 2:
         raise InvalidThread("the roster needs at least two users")
     roster = set(users)
     if len(roster) != len(users):
         raise InvalidThread("duplicate user ids in roster")
-    posted = set(authors)
-    if not posted <= roster:
-        author = next(a for a in authors if a not in roster)
+    try:
+        posted = set(authors)
+        stray = not posted <= roster
+    except TypeError:  # an unhashable author, which no string id equals
+        stray = True
+    if stray:
+        author = next(a for a in authors if not isinstance(a, str) or a not in roster)
         raise InvalidThread(f"author {author!r} is not on the roster")
     if len(posted) != len(roster):
         silent = [uid for uid in users if uid not in posted]
@@ -287,9 +300,49 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
     return Thread(frame=frame, users=tuple(users), messages=tuple(messages))
 
 
+def thread_to_json(thread: Thread, meta: Any = None) -> JSONText:
+    """A thread file's text: the layout ``_dumps`` gives the thread's JSON
+    object form, with a ``meta`` key last when ``meta`` is not None.
+
+    Each message's line is formatted straight from the thread, through a
+    ``%``-template per tuple of focal sets that holds their label lists.
+    Ranks are ``int`` and masses finite ``float``, whose ``repr`` is what
+    ``json`` writes for them, so masses read back bit for bit.  Each
+    author's JSON and each template are built once per call.
+    """
+    frame = thread.frame.frame
+    authors: dict[str, str] = {}  # author -> its JSON string
+    templates: dict[tuple[int, ...], str] = {}  # focal sets -> message template
+    lines = []
+    for msg in thread.messages:
+        author = authors.get(msg.author)
+        if author is None:
+            author = authors[msg.author] = json.dumps(msg.author)
+        masses = msg.bba.to_dict()
+        focal = tuple(masses)
+        template = templates.get(focal)
+        if template is None:
+            sets = [json.dumps(list(frame.members(s))).replace("%", "%%") for s in focal]
+            bba = ", ".join([f'{{"set": {labels}, "mass": %r}}' for labels in sets])
+            template = templates[focal] = f'{{"rank": %d, "author": %s, "bba": [{bba}]}}'
+        lines.append(template % (msg.rank, author, *masses.values()))
+    fields = [
+        _field("topic_count", thread.frame.topic_count),
+        _field("relevant_topic", thread.frame.relevant_topic),
+        _list_field("users", [authors[uid] for uid in thread.users]),  # all post
+        _list_field("messages", lines),
+    ]
+    if meta is not None:
+        fields.append(_field("meta", meta))
+    return JSONText("{\n  " + ",\n  ".join(fields) + "\n}")
+
+
 @_nogc
 def thread_to_dict(thread: Thread) -> dict[str, Any]:
-    """JSON object form of a thread (masses keep full float precision)."""
+    """JSON object form of a thread, equal to ``thread_to_json``'s text
+    decoded.  Built directly, it shares label strings and masses with the
+    thread; through ``json.loads`` a bulk document takes half again as much
+    memory."""
     frame = thread.frame.frame
     members: dict[int, tuple[str, ...]] = {}  # mask -> labels, one lookup per mask
 
@@ -320,9 +373,17 @@ def load_thread(path: str | Path) -> Thread:
         return thread_from_dict(json.load(fh))
 
 
+class JSONText(str):
+    """Text that is already JSON in ``_dumps``'s layout, such as
+    ``thread_to_json``'s: ``write_json_atomic`` writes it as is."""
+
+    __slots__ = ()
+
+
 def write_json_atomic(document: Any, path: str | Path) -> None:
     """Write ``document`` as JSON through a temp file and a rename, so a
-    reader never sees a partial file.  See ``_dumps`` for the layout.
+    reader never sees a partial file.  See ``_dumps`` for the layout; a
+    ``JSONText`` is written as it is.
 
     The temp file gets a random name in the target directory, so writers
     to the same path never share one, and a failed write removes only its
@@ -334,7 +395,7 @@ def write_json_atomic(document: Any, path: str | Path) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(document))
+            fh.write(document if isinstance(document, JSONText) else _dumps(document))
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -344,8 +405,9 @@ def write_json_atomic(document: Any, path: str | Path) -> None:
 
 def _dumps(document: Any) -> str:
     """JSON text with one top-level key per line and each item of a
-    top-level list on a line of its own, so a thread file has one line per
-    message.
+    top-level list on a line of its own.  It lays out the CLI's reports and
+    any other document; ``thread_to_json`` writes thread files the same
+    way, one line per message.
 
     Every piece goes through plain ``json.dumps``: only without ``indent``
     does it use the C encoder.  Floats keep their ``repr``, so masses read
@@ -353,12 +415,18 @@ def _dumps(document: Any) -> str:
     """
     if not isinstance(document, dict) or not document:
         return json.dumps(document)
-    fields = []
-    for key, value in document.items():
-        if isinstance(value, list) and value:
-            head = json.dumps({key: []})[1:-2]  # the encoded key, then ': ['
-            items = ",\n    ".join([json.dumps(item) for item in value])
-            fields.append(f"{head}\n    {items}\n  ]")
-        else:
-            fields.append(json.dumps({key: value})[1:-1])
+    fields = [_field(key, value) for key, value in document.items()]
     return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
+def _field(key: Any, value: Any) -> str:
+    """One top-level ``key: value`` of ``_dumps``'s layout."""
+    if isinstance(value, list) and value:
+        return _list_field(key, [json.dumps(item) for item in value])
+    return json.dumps({key: value})[1:-1]
+
+
+def _list_field(key: Any, items: list[str]) -> str:
+    """A non-empty top-level list from its items' JSON, one item a line."""
+    head = json.dumps({key: []})[1:-2]  # the encoded key, then ': ['
+    return f"{head}\n    " + ",\n    ".join(items) + "\n  ]"

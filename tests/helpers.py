@@ -64,6 +64,41 @@ def random_thread(
 # hypothesis strategies
 # ---------------------------------------------------------------------------
 
+# Masses whose repr is long, subnormal or near the float floor.
+EXTREME_MASSES = (5e-324, 1e-300, 2.0**-1074 * 3, 0.1, 1 / 3, 1 - 2.0**-53)
+
+
+class Mask(int):
+    """A subset mask of an ``int`` subclass, which ``MassFunction`` accepts."""
+
+
+@st.composite
+def file_threads(draw):
+    """``random_thread`` with ``st.text()`` user ids (quotes, backslashes,
+    control and non-ASCII characters), some bbas swapped for an extreme or
+    repr-heavy mass beside its remainder, and rank 1's first focal set
+    given as a ``Mask``."""
+    thread = random_thread(draw(st.randoms(use_true_random=False)), max_users=4)
+    ids = draw(
+        st.lists(st.text(), min_size=len(thread.users), max_size=len(thread.users), unique=True)
+    )
+    rename = dict(zip(thread.users, ids))
+    frame = thread.frame.frame
+    messages = []
+    for msg in thread.messages:
+        bba = msg.bba
+        small = draw(st.none() | st.sampled_from(EXTREME_MASSES) | st.floats(1e-300, 0.5))
+        if small is not None:
+            subsets = st.lists(st.integers(1, frame.full_set), min_size=2, max_size=2, unique=True)
+            a, b = draw(subsets)
+            bba = MassFunction(frame, [(a, small), (b, 1.0 - small)])
+        if msg.rank == 1:
+            (first, mass), *rest = bba.items()
+            bba = MassFunction(frame, [(Mask(first), mass), *rest])
+        messages.append(Message(author=rename[msg.author], rank=msg.rank, bba=bba))
+    return Thread(frame=thread.frame, users=tuple(ids), messages=tuple(messages))
+
+
 def frames(min_size: int = 2, max_size: int = 4) -> st.SearchStrategy[Frame]:
     return st.integers(min_size, max_size).map(make_frame)
 

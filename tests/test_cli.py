@@ -1,5 +1,6 @@
 """CLI commands, exit codes, and report files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from trolldetect import (
     Message,
     MessageFrame,
     Thread,
+    generate,
     thread_from_dict,
     thread_to_dict,
 )
@@ -65,6 +67,21 @@ class TestSimulate:
         )
         assert result.exit_code == 0
         assert len(json.loads(out.read_text())["messages"]) == 31
+
+    # The whole file, meta included, so the digests also pin the package
+    # version (0.1.0) and GENERATOR_ID.
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            ("example1", "653d5a5540bc0769aac0413600bc35f0b52e22c90c351862ca0ef911f881bbbe"),
+            ("example2", "5fd4947e311e43de5bb956e45ccfa055415ab213e7453f1b66c14581048ff59d"),
+        ],
+    )
+    def test_scenario_file_bytes_are_pinned(self, runner, tmp_path, scenario, digest):
+        out = tmp_path / "thread.json"
+        result = runner.invoke(main, ["simulate", "--scenario", scenario, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_spec_file(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -189,6 +206,46 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 1
+
+
+LONE_SURROGATE_ERROR = "user id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"
+
+
+class TestLoneSurrogateIds:
+    """A user id holding a lone surrogate is valid JSON, but no command can
+    print it: each one refuses the file before it prints anything."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["detect"], ["conflict", "--a", "2", "--b", "1"]],  # message 2 is U1's
+        ids=["detect", "conflict"],
+    )
+    def test_thread_exits_2_without_output(self, runner, tmp_path, command):
+        document = thread_to_dict(generate(example1()))
+        document["users"][0] = "\ud800"  # U1
+        for message in document["messages"]:
+            if message["author"] == "U1":
+                message["author"] = "\ud800"
+        path = tmp_path / "thread.json"
+        path.write_text(json.dumps(document))
+        result = runner.invoke(main, [command[0], "--thread", str(path), *command[1:]])
+        assert result.exit_code == 2
+        assert result.output == f"error: {path} is not a valid thread: {LONE_SURROGATE_ERROR}\n"
+
+    def test_spec_exits_2_without_output(self, runner, tmp_path):
+        spec = spec_to_dict(example1())
+        spec["users"][0]["id"] = "\ud800"  # U1
+        for entry in spec["script"]:
+            if entry["author"] == "U1":
+                entry["author"] = "\ud800"
+        spec_path, out = tmp_path / "spec.json", tmp_path / "o.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["simulate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: {spec_path} is not a valid scenario: {LONE_SURROGATE_ERROR}\n"
+        )
+        assert not out.exists()
 
 
 @settings(max_examples=40, deadline=None)

@@ -60,6 +60,14 @@ class TestValidation:
                 "script entry 1: unknown category 'rant'",
             ),
             (
+                {"script": (ScriptEntry("A", "relevant"), ScriptEntry("B", ["rant"]))},
+                "script entry 1: unknown category ['rant']",
+            ),
+            (
+                {"users": (("A", ["expert"]), ("B", "troll"))},
+                "unknown role ['expert'] for 'A'",
+            ),
+            (
                 {"script": (ScriptEntry("A", "relevant"), ScriptEntry("B", "controversy", 3))},
                 "script entry 1: topic 3 is not one of the controversy topics [2]",
             ),
@@ -75,6 +83,8 @@ class TestValidation:
             "one-user",
             "duplicate-ids",
             "unknown-category",
+            "unhashable-category",
+            "unhashable-role",
             "topic-outside-range",
             "relevant-topic-as-controversy",
         ],
@@ -91,9 +101,23 @@ class TestValidation:
             (("A",), ["A"], "the roster needs at least two users"),
             (("A", "B", "A"), ["A", "B"], "duplicate user ids in roster"),
             (("A", "B"), ["A", "B", "C"], "author 'C' is not on the roster"),
+            (("A", "B"), ["A", ["B"]], "author ['B'] is not on the roster"),
             (("A", "B", "C"), ["A", "B"], "1 users never post, first 'C'"),
+            (
+                ("A", "\ud800"),
+                ["A", "\ud800"],
+                "user id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+            ),
         ],
-        ids=["non-string-id", "one-user", "duplicate-id", "unknown-author", "silent-user"],
+        ids=[
+            "non-string-id",
+            "one-user",
+            "duplicate-id",
+            "unknown-author",
+            "unhashable-author",
+            "silent-user",
+            "lone-surrogate-id",
+        ],
     )
     def test_spec_and_thread_share_roster_texts(self, users, authors, text):
         frame = MessageFrame(topic_count=2, relevant_topic=1)

@@ -25,8 +25,9 @@ from trolldetect import (
     load_thread,
     thread_from_dict,
     thread_to_dict,
+    thread_to_json,
 )
-from trolldetect.thread import write_json_atomic
+from trolldetect.thread import JSONText, _dumps, write_json_atomic
 from trolldetect.errors import (
     BeliefError,
     InvalidSubset,
@@ -37,7 +38,7 @@ from trolldetect.errors import (
     UnknownUser,
 )
 
-from helpers import json_documents, random_thread
+from helpers import Mask, file_threads, json_documents, json_values, random_thread
 
 MF = MessageFrame(topic_count=2, relevant_topic=1)
 
@@ -288,8 +289,14 @@ def _detect_report():
     return {"meta": {"tool": "trolldetect", "input": "t.json"}, "report": report.to_dict()}
 
 
+def _encoded_thread():
+    thread, document = _thread_with_meta()
+    return thread_to_json(thread, document["meta"])
+
+
 WRITER_DOCUMENTS = {
     "thread-with-meta": lambda: _thread_with_meta()[1],
+    "encoded-thread-text": _encoded_thread,
     "detect-report": _detect_report,
     "empty-list-and-nested-dict": lambda: {
         "empty": [],
@@ -309,6 +316,9 @@ class TestWriterContract:
         write_json_atomic(document, first)
         write_json_atomic(document, second)
         text = first.read_text(encoding="utf-8")
+        if isinstance(document, JSONText):  # written as is
+            assert text == document + "\n"
+            document = json.loads(document)
         assert json.loads(text) == document
         assert text.endswith("\n")
         assert first.read_bytes() == second.read_bytes()
@@ -333,6 +343,34 @@ class TestWriterContract:
             assert [(s, m.hex()) for s, m in original.bba.items()] == [
                 (s, m.hex()) for s, m in reread.bba.items()
             ]
+
+
+class TestThreadText:
+    @settings(max_examples=150, deadline=None)
+    @given(file_threads(), st.none() | json_values)
+    def test_is_the_dumps_layout_of_the_object_form(self, thread, meta):
+        text = thread_to_json(thread, meta)
+        extra = {} if meta is None else {"meta": meta}
+        assert text == _dumps(thread_to_dict(thread) | extra)
+        document = json.loads(text)
+        assert thread_from_dict(document) == thread
+        for original, entry in zip(thread.messages, document["messages"]):
+            assert [m.hex() for _, m in original.bba.items()] == [
+                e["mass"].hex() for e in entry["bba"]
+            ]
+
+    def test_mask_subclass_and_escapes_are_written_like_json(self):
+        frame = MF.frame
+        bba = MassFunction(frame, [(Mask(MF.relevant_set()), 5e-324), (frame.full_set, 1.0)])
+        users = ('say "hi"\\', "\x00\u00e9\U0001f600%s")
+        thread = Thread(
+            frame=MF,
+            users=users,
+            messages=(Message(users[0], 1, bba), Message(users[1], 2, certain(3))),
+        )
+        text = thread_to_json(thread, {"seed": 1})
+        assert text == _dumps(thread_to_dict(thread) | {"meta": {"seed": 1}})
+        assert thread_from_dict(json.loads(text)) == thread
 
 
 class TestWriteJsonAtomic:
