@@ -103,7 +103,7 @@ class Frame:
         for label in members:
             try:
                 mask |= 1 << self._positions[label]
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise InvalidSubset(
                     f"{label!r} is not a hypothesis of {self!r}"
                 ) from None

@@ -18,7 +18,7 @@ from .belief import jousselme_distance
 from .errors import BeliefError, Degenerate
 from .pipeline import analyze
 from .simulate import BUILTIN_SCENARIOS, GENERATOR_ID, generate, load_spec
-from .thread import load_thread, thread_to_json, write_json_atomic
+from .thread import _dumps, load_thread, thread_to_json, write_json_atomic
 
 # Unused here, but bench/tracing.py wraps it by this module's name (the
 # ``thread.to_dict`` span), so it stays bound.
@@ -115,14 +115,12 @@ def detect(thread_path, json_path):
         _fail(EXIT_DEGENERATE, f"cannot cluster users: {exc}")
     elapsed = time.perf_counter() - started
 
+    summary = report.to_dict()
     click.echo("user conflict:")
     for user, value in report.per_user.items():
         click.echo(f"  {user:<8s} {value:.12f}")
-    roster = list(report.per_user)
-    trolls = " ".join(u for u in roster if u in report.trolls)
-    others = " ".join(u for u in roster if u in report.others)
-    click.echo(f"trolls (center {report.troll_center:.12f}): {trolls}")
-    click.echo(f"others (center {report.other_center:.12f}): {others}")
+    click.echo(f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}")
+    click.echo(f"others (center {report.other_center:.12f}): {' '.join(summary['others'])}")
 
     if json_path is not None:
         document = {
@@ -133,10 +131,10 @@ def detect(thread_path, json_path):
                 "elapsed_seconds": elapsed,
                 "scoring": report.scoring,
             },
-            "report": report.to_dict(),
+            "report": summary,
         }
         try:
-            write_json_atomic(document, json_path)
+            write_json_atomic(_dumps(document), json_path)
         except OSError as exc:
             _fail(EXIT_IO, f"cannot write {json_path}: {exc}")
 

@@ -69,9 +69,9 @@ class ScenarioSpec:
     (``RankOutOfBounds`` or ``MassOutOfRange`` for a bad pin), so
     ``generate`` checks nothing itself.  The frame and roster rules are
     the ones ``Thread`` applies (``MessageFrame``, ``_check_roster``), so a
-    valid spec always generates a valid thread.  ``users`` and ``script`` are
-    stored as tuples and ``pins`` read-only, so the caller's containers
-    cannot change a checked spec.
+    valid spec always generates a valid thread.  ``users``, ``script`` and
+    ``concentration`` are stored as tuples and ``pins`` read-only, so the
+    caller's containers cannot change a checked spec.
     """
 
     topic_count: int
@@ -83,7 +83,11 @@ class ScenarioSpec:
     pins: Mapping[int, float] = field(default_factory=dict)  # rank -> dominant mass
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(tuple(user) for user in self.users))
+        try:
+            users = tuple((uid, role) for uid, role in self.users)
+        except (TypeError, ValueError):  # not iterable, or an entry not a pair
+            raise InvalidSpec("users must be (id, role) pairs") from None
+        object.__setattr__(self, "users", users)
         object.__setattr__(self, "script", tuple(self.script))
         if not self.script:
             raise InvalidSpec("empty script")
@@ -119,14 +123,22 @@ class ScenarioSpec:
                 raise InvalidSpec(
                     f"script entry {i}: topic only applies to controversy entries"
                 )
-        if len(self.concentration) != 2:
-            raise InvalidSpec("concentration must be a (lo, hi) pair")
-        lo, hi = self.concentration
+        try:
+            lo, hi = concentration = tuple(self.concentration)
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise InvalidSpec("concentration must be a (lo, hi) pair") from None
+        # A Decimal compares with floats, but ``generate`` cannot draw between them.
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in concentration):
+            raise InvalidSpec(f"concentration must be real numbers, got {concentration!r}")
         if not (0.5 < lo < hi < 1.0):
             raise InvalidSpec(
                 f"concentration must satisfy 0.5 < lo < hi < 1, got ({lo}, {hi})"
             )
-        pins = MappingProxyType(dict(self.pins))
+        object.__setattr__(self, "concentration", concentration)
+        try:
+            pins = MappingProxyType(dict(self.pins))
+        except (TypeError, ValueError):  # not a mapping or (rank, mass) pairs
+            raise InvalidSpec("pins must map ranks to masses") from None
         for rank, mass in pins.items():
             _check_pin(rank, mass, len(self.script))
         object.__setattr__(self, "pins", pins)

@@ -220,10 +220,14 @@ class Thread:
 def thread_from_dict(data: Mapping[str, Any]) -> Thread:
     """Build a thread from its JSON object form.
 
-    Unknown top-level keys (such as simulator metadata) are ignored.
+    Unknown top-level keys (such as simulator metadata) are ignored.  Each
+    value is judged by the type that owns its rule: labels by
+    ``Frame.subset``, masses by ``MassFunction``, user ids by the
+    ``Thread`` roster check.  An error inside a message keeps its type and
+    gains a ``message <i>: `` prefix.
     """
     # Each check builds its message only when it fails: a large thread
-    # passes about ten checks per message.  Each type check tests the exact
+    # passes several checks per message.  Each type check tests the exact
     # type ``json.load`` returns first, and falls back to the ``isinstance``
     # check that decides, so subclasses and other mappings are judged alike.
     if type(data) is not dict and not isinstance(data, Mapping):
@@ -235,12 +239,12 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
         topic_count=data["topic_count"], relevant_topic=data["relevant_topic"]
     )
     users = data["users"]
-    if not (isinstance(users, list) and all(isinstance(u, str) for u in users)):
+    if not isinstance(users, list):
         raise InvalidThread("users must be a list of strings")
     raw_messages = data["messages"]
     if not isinstance(raw_messages, list):
         raise InvalidThread("messages must be a list")
-    subsets: dict[tuple[str, ...], int] = {}  # label tuple -> mask, checked labels only
+    subsets: dict[tuple[str, ...], int] = {}  # label tuple -> mask, accepted labels only
     messages = []
     for i, raw in enumerate(raw_messages):
         if type(raw) is not dict and not isinstance(raw, Mapping):
@@ -248,59 +252,40 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
         if not ("rank" in raw and "author" in raw and "bba" in raw):
             key = next(k for k in ("rank", "author", "bba") if k not in raw)
             raise InvalidThread(f"message {i} missing key {key!r}")
-        rank, author, bba = raw["rank"], raw["author"], raw["bba"]
-        if type(rank) is not int and (not isinstance(rank, int) or isinstance(rank, bool)):
-            raise InvalidThread(f"message {i}: rank must be an integer")
-        if type(author) is not str and not isinstance(author, str):
-            raise InvalidThread(f"message {i}: author must be a string")
-        if type(bba) is not list and not isinstance(bba, list):
-            raise InvalidThread(f"message {i}: bba must be a list")
-        assignments = []
-        for j, entry in enumerate(bba):
-            if not (
-                (type(entry) is dict or isinstance(entry, Mapping))
-                and "set" in entry
-                and "mass" in entry
-            ):
-                raise InvalidThread(f"message {i}: bba entry {j} must have 'set' and 'mass'")
-            labels = entry["set"]
-            subset = None  # the memo holds checked labels only
-            if type(labels) is list or isinstance(labels, list):
+        try:
+            rank, author, bba = raw["rank"], raw["author"], raw["bba"]
+            if type(rank) is not int and (not isinstance(rank, int) or isinstance(rank, bool)):
+                raise InvalidThread("rank must be an integer")
+            if type(author) is not str and not isinstance(author, str):
+                raise InvalidThread("author must be a string")
+            if type(bba) is not list and not isinstance(bba, list):
+                raise InvalidThread("bba must be a list")
+            assignments = []
+            for j, entry in enumerate(bba):
+                if not (
+                    (type(entry) is dict or isinstance(entry, Mapping))
+                    and "set" in entry
+                    and "mass" in entry
+                ):
+                    raise InvalidThread(f"bba entry {j} must have 'set' and 'mass'")
+                labels = entry["set"]
+                if type(labels) is not list and not isinstance(labels, list):
+                    raise InvalidThread(f"bba entry {j}: 'set' must be a list of strings")
                 key = tuple(labels)
                 try:
-                    subset = subsets.get(key)
-                except TypeError:  # an unhashable label, never in the memo
-                    pass
-            if subset is None and not (
-                isinstance(labels, list) and all(isinstance(x, str) for x in labels)
-            ):
-                raise InvalidThread(
-                    f"message {i}: bba entry {j}: 'set' must be a list of strings"
-                )
-            mass = entry["mass"]
-            if type(mass) is not float:
-                if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-                    raise InvalidThread(
-                        f"message {i}: bba entry {j}: 'mass' must be a number"
-                    )
-                try:
-                    mass = float(mass)
-                except OverflowError:  # an integer too large for a float
-                    raise InvalidThread(
-                        f"message {i}: bba entry {j}: 'mass' is out of float range"
-                    ) from None
-            if subset is None:
-                subset = subsets[key] = frame.frame.subset(labels)
-            assignments.append((subset, mass))
-        try:
-            bba = MassFunction(frame.frame, assignments)
+                    subset = subsets[key]
+                except (KeyError, TypeError):  # new labels, or an unhashable one
+                    subset = subsets[key] = frame.frame.subset(labels)
+                assignments.append((subset, entry["mass"]))
+            messages.append(
+                Message(author=author, rank=rank, bba=MassFunction(frame.frame, assignments))
+            )
         except BeliefError as exc:  # same type, naming the message
             raise type(exc)(f"message {i}: {exc}") from None
-        messages.append(Message(author=author, rank=rank, bba=bba))
     return Thread(frame=frame, users=tuple(users), messages=tuple(messages))
 
 
-def thread_to_json(thread: Thread, meta: Any = None) -> JSONText:
+def thread_to_json(thread: Thread, meta: Any = None) -> str:
     """A thread file's text: the layout ``_dumps`` gives the thread's JSON
     object form, with a ``meta`` key last when ``meta`` is not None.
 
@@ -334,7 +319,7 @@ def thread_to_json(thread: Thread, meta: Any = None) -> JSONText:
     ]
     if meta is not None:
         fields.append(_field("meta", meta))
-    return JSONText("{\n  " + ",\n  ".join(fields) + "\n}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 @_nogc
@@ -373,17 +358,10 @@ def load_thread(path: str | Path) -> Thread:
         return thread_from_dict(json.load(fh))
 
 
-class JSONText(str):
-    """Text that is already JSON in ``_dumps``'s layout, such as
-    ``thread_to_json``'s: ``write_json_atomic`` writes it as is."""
-
-    __slots__ = ()
-
-
-def write_json_atomic(document: Any, path: str | Path) -> None:
-    """Write ``document`` as JSON through a temp file and a rename, so a
-    reader never sees a partial file.  See ``_dumps`` for the layout; a
-    ``JSONText`` is written as it is.
+def write_json_atomic(text: str, path: str | Path) -> None:
+    """Write ``text`` and a final newline through a temp file and a
+    rename, so a reader never sees a partial file.  The text is JSON from
+    ``thread_to_json`` or ``_dumps``.
 
     The temp file gets a random name in the target directory, so writers
     to the same path never share one, and a failed write removes only its
@@ -395,7 +373,7 @@ def write_json_atomic(document: Any, path: str | Path) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(document if isinstance(document, JSONText) else _dumps(document))
+            fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -73,6 +73,11 @@ class TestFrame:
         with pytest.raises(InvalidSubset):
             AB.subset(["nope"])
 
+    def test_unhashable_label_rejected(self):
+        with pytest.raises(InvalidSubset) as err:
+            AB.subset(["a", ["b"]])
+        assert str(err.value) == f"['b'] is not a hypothesis of {AB!r}"
+
     def test_bad_mask_rejected(self):
         with pytest.raises(InvalidSubset):
             AB.check_subset(4)

@@ -75,6 +75,21 @@ class TestValidation:
                 {"script": (ScriptEntry("A", "relevant"), ScriptEntry("B", "controversy", 1))},
                 "script entry 1: topic 1 is not one of the controversy topics [2]",
             ),
+            ({"concentration": 0.7}, "concentration must be a (lo, hi) pair"),
+            (
+                {"concentration": ("a", "b")},
+                "concentration must be real numbers, got ('a', 'b')",
+            ),
+            (
+                {"concentration": (0.6, Decimal("0.9"))},
+                "concentration must be real numbers, got (0.6, Decimal('0.9'))",
+            ),
+            ({"pins": [1, 2]}, "pins must map ranks to masses"),
+            ({"pins": "x"}, "pins must map ranks to masses"),
+            (
+                {"users": (("A", "expert", "extra"), ("B", "troll"))},
+                "users must be (id, role) pairs",
+            ),
         ],
         ids=[
             "empty-script",
@@ -87,6 +102,12 @@ class TestValidation:
             "unhashable-role",
             "topic-outside-range",
             "relevant-topic-as-controversy",
+            "number-concentration",
+            "string-concentration",
+            "decimal-concentration",
+            "pins-of-numbers",
+            "pins-of-a-string",
+            "three-item-user",
         ],
     )
     def test_checked_at_construction(self, overrides, text):

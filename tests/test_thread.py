@@ -27,7 +27,7 @@ from trolldetect import (
     thread_to_dict,
     thread_to_json,
 )
-from trolldetect.thread import JSONText, _dumps, write_json_atomic
+from trolldetect.thread import _dumps, write_json_atomic
 from trolldetect.errors import (
     BeliefError,
     InvalidSubset,
@@ -235,7 +235,7 @@ class TestJsonFormat:
     def test_huge_integer_mass_rejected(self):
         doc = json.loads(json.dumps(SAMPLE))
         doc["messages"][1]["bba"][0]["mass"] = 10**400
-        with pytest.raises(InvalidThread):
+        with pytest.raises(NonFiniteMass):
             thread_from_dict(doc)
 
     def test_nan_only_bba_rejected(self):
@@ -262,7 +262,7 @@ class TestJsonFormat:
     def test_file_round_trip(self, tmp_path):
         t = thread_from_dict(SAMPLE)
         path = tmp_path / "thread.json"
-        write_json_atomic(thread_to_dict(t) | {"meta": {"generator": "test"}}, path)
+        write_json_atomic(_dumps(thread_to_dict(t) | {"meta": {"generator": "test"}}), path)
         loaded = load_thread(path)
         assert loaded == t
         raw = json.loads(path.read_text())
@@ -271,7 +271,7 @@ class TestJsonFormat:
     def test_masses_survive_round_trip_exactly(self, tmp_path):
         t = thread_from_dict(SAMPLE)
         path = tmp_path / "thread.json"
-        write_json_atomic(thread_to_dict(t), path)
+        write_json_atomic(_dumps(thread_to_dict(t)), path)
         loaded = load_thread(path)
         for original, reread in zip(t.messages, loaded.messages):
             assert original.bba.to_dict() == reread.bba.to_dict()
@@ -312,21 +312,21 @@ class TestWriterContract:
     @pytest.mark.parametrize("make", WRITER_DOCUMENTS.values(), ids=WRITER_DOCUMENTS)
     def test_reads_back_equal_and_writes_are_byte_identical(self, tmp_path, make):
         document = make()
+        if isinstance(document, str):  # thread_to_json's text of this document
+            text, document = document, _thread_with_meta()[1]
+        else:
+            text = _dumps(document)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        write_json_atomic(document, first)
-        write_json_atomic(document, second)
-        text = first.read_text(encoding="utf-8")
-        if isinstance(document, JSONText):  # written as is
-            assert text == document + "\n"
-            document = json.loads(document)
-        assert json.loads(text) == document
-        assert text.endswith("\n")
+        write_json_atomic(text, first)
+        write_json_atomic(text, second)
+        assert first.read_bytes() == (text + "\n").encode("utf-8")
+        assert json.loads(first.read_text(encoding="utf-8")) == document
         assert first.read_bytes() == second.read_bytes()
 
     def test_thread_file_has_one_line_per_message(self, tmp_path):
         thread, document = _thread_with_meta()
         path = tmp_path / "thread.json"
-        write_json_atomic(document, path)
+        write_json_atomic(_dumps(document), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         first = lines.index('  "messages": [') + 1
         last = next(k for k in range(first, len(lines)) if lines[k].startswith("  ]"))
@@ -337,7 +337,7 @@ class TestWriterContract:
     def test_masses_read_back_bit_for_bit(self, tmp_path):
         thread, document = _thread_with_meta()
         path = tmp_path / "thread.json"
-        write_json_atomic(document, path)
+        write_json_atomic(_dumps(document), path)
         again = load_thread(path)
         for original, reread in zip(thread.messages, again.messages):
             assert [(s, m.hex()) for s, m in original.bba.items()] == [
@@ -378,7 +378,7 @@ class TestWriteJsonAtomic:
         reference = tmp_path / "reference"
         reference.write_text("")
         path = tmp_path / "out.json"
-        write_json_atomic({"a": 1}, path)
+        write_json_atomic('{"a": 1}', path)
         assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
     def test_mode_follows_the_umask_at_write_time(self, tmp_path):
@@ -386,15 +386,15 @@ class TestWriteJsonAtomic:
         saved = os.umask(0o077)
         try:
             reference.write_text("")
-            write_json_atomic({"a": 1}, path)
+            write_json_atomic('{"a": 1}', path)
         finally:
             os.umask(saved)
         assert stat.S_IMODE(reference.stat().st_mode) == 0o600
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
     def test_failed_write_leaves_no_files(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_json_atomic({"a": object()}, tmp_path / "out.json")
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate, which UTF-8 cannot encode
+            write_json_atomic('{"a": "\ud800"}', tmp_path / "out.json")
         assert list(tmp_path.iterdir()) == []
 
     def test_concurrent_writers_to_one_path(self, tmp_path):
@@ -404,7 +404,7 @@ class TestWriteJsonAtomic:
         def writer(k):
             try:
                 for i in range(40):
-                    write_json_atomic({"writer": k, "pass": i, "pad": list(range(200))}, path)
+                    write_json_atomic(_dumps({"writer": k, "pass": i, "pad": list(range(200))}), path)
             except OSError as exc:
                 errors.append(exc)
 
@@ -438,8 +438,10 @@ def _set_first_entry(key, value):
 
 FRAME_REPR = "Frame(['Off-topic', 'Senseless', 'Topic_1', 'Topic_2'])"
 
-# One malformed document per check in thread_from_dict, with the exact text
-# it must raise.  Cases with two faults pin which check runs first.
+# One malformed document per check a thread file passes, with the exact
+# type and text it must raise: thread_from_dict's own checks, and the label,
+# mass and user-id rules it leaves to Frame.subset, MassFunction and the
+# roster check.  Cases with two faults pin which check runs first.
 MALFORMED = [
     ("non-object", ["not", "an", "object"], InvalidThread,
      "thread document must be a JSON object"),
@@ -452,7 +454,7 @@ MALFORMED = [
     ("float-relevant-topic", _malformed(lambda d: d.__setitem__("relevant_topic", 1.0)),
      InvalidThread, "relevant_topic must be an integer"),
     ("non-string-user", _malformed(lambda d: d["users"].append(3)), InvalidThread,
-     "users must be a list of strings"),
+     "user ids must be strings, got 3"),
     ("users-not-list", _malformed(lambda d: d.__setitem__("users", "U1")), InvalidThread,
      "users must be a list of strings"),
     ("messages-not-list", _malformed(lambda d: d.__setitem__("messages", {})),
@@ -475,20 +477,24 @@ MALFORMED = [
     ("entry-missing-mass", _malformed(lambda d: d["messages"][1]["bba"][0].pop("mass")),
      InvalidThread, "message 1: bba entry 0 must have 'set' and 'mass'"),
     ("non-string-label", _malformed(_set_first_entry("set", ["Topic_2", 1])),
-     InvalidThread, "message 1: bba entry 0: 'set' must be a list of strings"),
+     InvalidSubset, f"message 1: 1 is not a hypothesis of {FRAME_REPR}"),
     ("set-not-list", _malformed(_set_first_entry("set", "Topic_2")),
      InvalidThread, "message 1: bba entry 0: 'set' must be a list of strings"),
     ("bad-label-and-bool-mass",
      _malformed(lambda d: d["messages"][1]["bba"][0].update(set=[None], mass=True)),
-     InvalidThread, "message 1: bba entry 0: 'set' must be a list of strings"),
+     InvalidSubset, f"message 1: None is not a hypothesis of {FRAME_REPR}"),
+    ("bool-mass-then-unknown-label",
+     _malformed(lambda d: (d["messages"][0]["bba"][0].update(mass=True),
+                           d["messages"][0]["bba"][1].update(set=["Topic_9"]))),
+     InvalidSubset, f"message 0: 'Topic_9' is not a hypothesis of {FRAME_REPR}"),
     ("bool-mass", _malformed(_set_first_entry("mass", True)),
-     InvalidThread, "message 1: bba entry 0: 'mass' must be a number"),
+     NonFiniteMass, "message 1: mass on subset 0b1000 is a bool, not a real number"),
     ("string-mass", _malformed(_set_first_entry("mass", "1.0")),
-     InvalidThread, "message 1: bba entry 0: 'mass' must be a number"),
+     NonFiniteMass, "message 1: mass on subset 0b1000 is a str, not a real number"),
     ("400-digit-mass", _malformed(_set_first_entry("mass", 10**400)),
-     InvalidThread, "message 1: bba entry 0: 'mass' is out of float range"),
+     NonFiniteMass, "message 1: mass on subset 0b1000 is past the float range"),
     ("unknown-label", _malformed(_set_first_entry("set", ["Topic_2", "Topic_9"])),
-     InvalidSubset, f"'Topic_9' is not a hypothesis of {FRAME_REPR}"),
+     InvalidSubset, f"message 1: 'Topic_9' is not a hypothesis of {FRAME_REPR}"),
     ("duplicate-user", _malformed(lambda d: d["users"].append("U1")), InvalidThread,
      "duplicate user ids in roster"),
     ("bad-sum", _malformed(_set_first_entry("mass", 0.5)), SumNotOne,
@@ -504,6 +510,27 @@ def test_malformed_document_message(doc, error, text):
         thread_from_dict(doc)
     assert type(err.value) is error
     assert str(err.value) == text
+
+
+BAD_MASSES = {
+    "bool": True,
+    "str": "1.0",
+    "none": None,
+    "400-digits": 10**400,
+    "nan": float("nan"),
+    "minus-inf": float("-inf"),
+    "negative": -0.5,
+}
+
+
+@pytest.mark.parametrize("mass", BAD_MASSES.values(), ids=BAD_MASSES)
+def test_bad_mass_raises_mass_functions_own_error(mass):
+    with pytest.raises(BeliefError) as own:
+        MassFunction(MF.frame, [(MF.topic_set(2), mass)])
+    with pytest.raises(BeliefError) as err:
+        thread_from_dict(_malformed(_set_first_entry("mass", mass)))
+    assert type(err.value) is type(own.value)
+    assert str(err.value) == f"message 1: {own.value}"
 
 
 class _Rank(enum.IntEnum):
@@ -547,7 +574,7 @@ SHORTCUT_CASES = [
      "ranks must be exactly 1..2 with no gaps: 1 out of place, first rank 2 at position 2"),
     ("seen-labels-then-list-label",
      _malformed(lambda d: (_append_entry(["Topic_1"], 0.0)(d), _append_entry([["Topic_1"]], 0.0)(d))),
-     InvalidThread, "message 1: bba entry 2: 'set' must be a list of strings"),
+     InvalidSubset, f"message 1: ['Topic_1'] is not a hypothesis of {FRAME_REPR}"),
     ("negative-zero-mass", _malformed(_append_entry(["Topic_1"], -0.0)), None, None),
     ("nan-mass", _malformed(_append_entry(["Topic_1"], float("nan"))), NonFiniteMass,
      "message 1: mass nan on subset 0b100"),
