@@ -6,6 +6,7 @@ malformed thread file, bad ranks), 3 degenerate clustering.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import replace
@@ -56,6 +57,11 @@ def _load_or_exit(load, path: str, kind: str):
 @click.version_option(__version__, prog_name="trolldetect")
 def main():
     """Conflict-based troll detection for discussion threads."""
+    # Before the kernel's first numpy import: idle OpenBLAS workers spin, which
+    # slowed a 90 ms numpy import to 160 ms on a 2-core host, and the kernel's
+    # products (exact 0/1 sums on small tiles) never need them.  Not set at
+    # import or in the kernel, so a library user's process keeps its pool.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @main.command()

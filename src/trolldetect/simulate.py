@@ -34,7 +34,6 @@ __all__ = [
     "pin_masses",
     "generate",
     "spec_from_dict",
-    "spec_to_dict",
     "load_spec",
     "example1",
     "example2",
@@ -69,9 +68,10 @@ class ScenarioSpec:
     (``RankOutOfBounds`` or ``MassOutOfRange`` for a bad pin), so
     ``generate`` checks nothing itself.  The frame and roster rules are
     the ones ``Thread`` applies (``MessageFrame``, ``_check_roster``), so a
-    valid spec always generates a valid thread.  ``users``, ``script`` and
-    ``concentration`` are stored as tuples and ``pins`` read-only, so the
-    caller's containers cannot change a checked spec.
+    valid spec always generates a valid thread.  ``pins`` is a mapping or
+    (rank, mass) pairs, no rank twice, stored read-only, and ``users``,
+    ``script`` and ``concentration`` are stored as tuples, so the caller's
+    containers cannot change a checked spec.
     """
 
     topic_count: int
@@ -135,13 +135,18 @@ class ScenarioSpec:
                 f"concentration must satisfy 0.5 < lo < hi < 1, got ({lo}, {hi})"
             )
         object.__setattr__(self, "concentration", concentration)
+        items = self.pins.items() if isinstance(self.pins, Mapping) else self.pins
         try:
-            pins = MappingProxyType(dict(self.pins))
+            items = [(rank, mass) for rank, mass in items]
         except (TypeError, ValueError):  # not a mapping or (rank, mass) pairs
             raise InvalidSpec("pins must map ranks to masses") from None
-        for rank, mass in pins.items():
-            _check_pin(rank, mass, len(self.script))
-        object.__setattr__(self, "pins", pins)
+        pins = {}
+        for rank, mass in items:
+            _check_pin(rank, mass, len(self.script))  # before it is a key: True == 1
+            if rank in pins:
+                raise InvalidSpec(f"pinned rank {rank} appears more than once")
+            pins[rank] = mass
+        object.__setattr__(self, "pins", MappingProxyType(pins))
 
     def user_ids(self) -> tuple[str, ...]:
         return tuple(uid for uid, _ in self.users)
@@ -208,50 +213,38 @@ def generate(spec: ScenarioSpec) -> Thread:
     return Thread(frame=frame, users=spec.user_ids(), messages=tuple(messages))
 
 
-def spec_to_dict(spec: ScenarioSpec) -> dict[str, Any]:
-    return {
-        "topic_count": spec.topic_count,
-        "relevant_topic": spec.relevant_topic,
-        "seed": spec.seed,
-        "concentration": list(spec.concentration),
-        "users": [{"id": uid, "role": role} for uid, role in spec.users],
-        "script": [
-            {"author": e.author, "category": e.category}
-            | ({"topic": e.topic} if e.topic is not None else {})
-            for e in spec.script
-        ],
-        "pins": [{"rank": r, "mass": m} for r, m in sorted(spec.pins.items())],
-    }
+def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
+    """Build a scenario from its JSON object form.  Only the shape read here
+    is checked (objects, their keys, lists); ``ScenarioSpec`` judges each value."""
+    _require(data, "scenario document", "topic_count", "relevant_topic", "users", "script")
+    lists = {}
+    for key, *fields in (
+        ("users", "id", "role"), ("script", "author", "category"), ("pins", "rank", "mass")
+    ):
+        items = lists[key] = data.get(key, [])
+        if not isinstance(items, list):
+            raise InvalidSpec(f"{key} must be a list")
+        required = set(fields)
+        for i, item in enumerate(items):  # a dict with every key passes at once
+            if type(item) is not dict or not item.keys() >= required:
+                _require(item, f"{key} entry {i}", *fields)
+    return ScenarioSpec(
+        topic_count=data["topic_count"],
+        relevant_topic=data["relevant_topic"],
+        users=[(u["id"], u["role"]) for u in lists["users"]],
+        script=[ScriptEntry(e["author"], e["category"], e.get("topic")) for e in lists["script"]],
+        seed=data.get("seed", 0),
+        concentration=data.get("concentration", DEFAULT_CONCENTRATION),
+        pins=[(p["rank"], p["mass"]) for p in lists["pins"]],
+    )
 
 
-def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
-    try:
-        users = tuple((u["id"], u["role"]) for u in data["users"])
-        script = tuple(
-            ScriptEntry(
-                author=e["author"], category=e["category"], topic=e.get("topic")
-            )
-            for e in data["script"]
-        )
-        concentration = tuple(data.get("concentration", DEFAULT_CONCENTRATION))
-        pins = {}
-        for p in data.get("pins", []):
-            # checked before it becomes a key: True and 1 are the same key
-            _check_pin(p["rank"], p["mass"], len(script))
-            if p["rank"] in pins:
-                raise InvalidSpec(f"pinned rank {p['rank']} appears more than once")
-            pins[p["rank"]] = p["mass"]
-        return ScenarioSpec(
-            topic_count=data["topic_count"],
-            relevant_topic=data["relevant_topic"],
-            users=users,
-            script=script,
-            seed=data.get("seed", 0),
-            concentration=concentration,  # type: ignore[arg-type]
-            pins=pins,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed scenario document: {exc}") from None
+def _require(item: Any, where: str, *keys: str) -> None:
+    if not isinstance(item, Mapping):
+        raise InvalidSpec(f"{where} must be an object")
+    for key in keys:
+        if key not in item:
+            raise InvalidSpec(f"{where} missing key {key!r}")
 
 
 @_nogc

@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests: seeded and hypothesis-based."""
+"""Shared generators for randomized tests (seeded and hypothesis-based),
+and the scenario document writer the spec tests use."""
 
 from __future__ import annotations
 
@@ -8,7 +9,32 @@ import string
 
 from hypothesis import strategies as st
 
-from trolldetect import Frame, MassFunction, Message, MessageFrame, Thread
+from trolldetect import (
+    Frame,
+    MassFunction,
+    Message,
+    MessageFrame,
+    ScenarioSpec,
+    Thread,
+    example1,
+)
+
+
+def spec_to_dict(spec: ScenarioSpec) -> dict:
+    """The JSON object form of a scenario, as ``spec_from_dict`` reads it."""
+    return {
+        "topic_count": spec.topic_count,
+        "relevant_topic": spec.relevant_topic,
+        "seed": spec.seed,
+        "concentration": list(spec.concentration),
+        "users": [{"id": uid, "role": role} for uid, role in spec.users],
+        "script": [
+            {"author": e.author, "category": e.category}
+            | ({"topic": e.topic} if e.topic is not None else {})
+            for e in spec.script
+        ],
+        "pins": [{"rank": r, "mass": m} for r, m in sorted(spec.pins.items())],
+    }
 
 
 def make_frame(n: int) -> Frame:
@@ -199,11 +225,8 @@ def _slots(node):
             yield from _slots(node[key])
 
 
-@st.composite
-def _near_threads(draw):
-    """A thread document with at most one item swapped for any JSON value
-    or removed."""
-    doc = draw(_threads())
+def _swap_or_drop(draw, doc):
+    """``doc`` with at most one item swapped for any JSON value or removed."""
     slots = list(_slots(doc))
     pick = draw(st.integers(-1, len(slots) - 1))
     if pick >= 0:
@@ -215,4 +238,16 @@ def _near_threads(draw):
     return doc
 
 
+@st.composite
+def _near_threads(draw):
+    return _swap_or_drop(draw, draw(_threads()))
+
+
+@st.composite
+def _near_specs(draw):
+    return _swap_or_drop(draw, spec_to_dict(example1()))
+
+
 json_documents = json_values | _near_threads()
+# Scenario documents for ``spec_from_dict``, built the same way.
+spec_documents = json_values | _near_specs()

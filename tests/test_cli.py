@@ -20,12 +20,13 @@ from trolldetect import (
     generate,
     thread_from_dict,
     thread_to_dict,
+    thread_to_json,
 )
 from trolldetect.cli import main
 from trolldetect.errors import BeliefError
-from trolldetect.simulate import spec_to_dict, example1
+from trolldetect.simulate import example1
 
-from helpers import json_documents
+from helpers import json_documents, spec_to_dict
 
 
 @pytest.fixture
@@ -164,6 +165,24 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--spec", str(spec_path), "--out", str(out)])
         assert result.exit_code == 2
         assert text in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            ({"concentration": 0.7}, "concentration must be a (lo, hi) pair"),
+            ({"pins": [1, 2]}, "pins entry 0 must be an object"),
+            ({"users": [{"id": "U1"}]}, "users entry 0 missing key 'role'"),
+        ],
+        ids=["concentration-not-a-pair", "pin-not-an-object", "user-without-role"],
+    )
+    def test_malformed_spec_exits_2_with_its_own_text(self, runner, tmp_path, change, text):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "o.json"
+        spec_path.write_text(json.dumps(spec_to_dict(example1()) | change))
+        result = runner.invoke(main, ["simulate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {spec_path} is not a valid scenario: {text}\n"
         assert not out.exists()
 
     def test_invalid_spec_error_names_the_file(self, runner, tmp_path):
@@ -324,6 +343,60 @@ from trolldetect.simulate import example1, generate
 analyze(generate(example1()))
 assert "numpy" in sys.modules, "the thread was not scored"
 assert "numpy.ma" not in sys.modules, "numpy.ma was loaded"
+"""
+    result = run_python(script)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture
+def example1_file(tmp_path):
+    path = tmp_path / "example1.json"
+    path.write_text(thread_to_json(generate(example1())))
+    return path
+
+
+def test_cli_runs_openblas_on_one_thread(monkeypatch, example1_file):
+    # The default must come before numpy's first import: OpenBLAS starts its
+    # worker threads when it loads, so a late default leaves them running.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    script = """
+import os, sys
+import trolldetect.cli
+assert "OPENBLAS_NUM_THREADS" not in os.environ, "set at import"
+assert "numpy" not in sys.modules, "numpy loaded at import"
+trolldetect.cli.main(["detect", "--thread", sys.argv[1]], standalone_mode=False)
+assert "numpy" in sys.modules, "the thread was not scored"
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1", os.environ["OPENBLAS_NUM_THREADS"]
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = next(line for line in fh if line.startswith("Threads:"))
+    assert threads.split() == ["Threads:", "1"], threads
+"""
+    result = run_python(script, str(example1_file))
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_keeps_a_preset_openblas_thread_count(monkeypatch, example1_file):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    script = """
+import os, sys
+from trolldetect.cli import main
+main(["detect", "--thread", sys.argv[1]], standalone_mode=False)
+assert "numpy" in sys.modules, "the thread was not scored"
+assert os.environ["OPENBLAS_NUM_THREADS"] == "2", os.environ["OPENBLAS_NUM_THREADS"]
+"""
+    result = run_python(script, str(example1_file))
+    assert result.returncode == 0, result.stderr
+
+
+def test_library_leaves_the_environment_alone(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    script = """
+import os
+before = dict(os.environ)
+import trolldetect
+trolldetect.analyze(trolldetect.generate(trolldetect.example1()))
+assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
 """
     result = run_python(script)
     assert result.returncode == 0, result.stderr

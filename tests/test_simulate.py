@@ -5,6 +5,7 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
 
 from trolldetect import (
     MassFunction,
@@ -20,8 +21,16 @@ from trolldetect import (
     pin_masses,
     thread_to_dict,
 )
-from trolldetect.errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
-from trolldetect.simulate import spec_from_dict, spec_to_dict
+from trolldetect.errors import (
+    BeliefError,
+    InvalidSpec,
+    InvalidThread,
+    MassOutOfRange,
+    RankOutOfBounds,
+)
+from trolldetect.simulate import spec_from_dict
+
+from helpers import spec_documents, spec_to_dict
 
 
 def tiny_spec(**overrides):
@@ -280,6 +289,14 @@ class TestPinning:
         with pytest.raises(InvalidSpec, match="^pinned rank 1 appears more than once$"):
             spec_from_dict(document)
 
+    def test_pins_given_as_pairs(self):
+        assert tiny_spec(pins=[(1, 0.9)]) == tiny_spec(pins={1: 0.9})
+        with pytest.raises(InvalidSpec, match="^pinned rank 1 appears more than once$"):
+            tiny_spec(pins=[(1, 0.9), (1, 0.8)])
+        # True == 1, so as a dict key it would silently replace rank 1's pin
+        with pytest.raises(InvalidSpec, match="^pinned rank must be an integer, got True$"):
+            tiny_spec(pins=[(1, 0.9), (True, 0.8)])
+
     def test_pins_are_read_only(self):
         pins = {1: 0.9}
         spec = tiny_spec(pins=pins)
@@ -358,6 +375,68 @@ class TestGeneration:
         ]
 
 
+def example1_document(drop=(), **changes):
+    """example1's scenario document without the keys in ``drop`` and with
+    ``changes`` applied."""
+    document = spec_to_dict(example1()) | changes
+    for key in drop:
+        del document[key]
+    return document
+
+
+_USERS, _SCRIPT = (example1_document()[key] for key in ("users", "script"))
+
+# One document per shape check of spec_from_dict, and per value it leaves to
+# ScenarioSpec that it used to judge with Python's own text first.
+MALFORMED = {
+    "not-an-object": ([], "scenario document must be an object"),
+    "null": (None, "scenario document must be an object"),
+    "missing-topic-count": (
+        example1_document(drop=["topic_count"]),
+        "scenario document missing key 'topic_count'",
+    ),
+    "missing-users": (
+        example1_document(drop=["users"]),
+        "scenario document missing key 'users'",
+    ),
+    "users-not-a-list": (example1_document(users={"U1": "victim"}), "users must be a list"),
+    "user-not-an-object": (
+        example1_document(users=["U1", *_USERS[1:]]),
+        "users entry 0 must be an object",
+    ),
+    "user-without-role": (
+        example1_document(users=[{"id": "U1"}, *_USERS[1:]]),
+        "users entry 0 missing key 'role'",
+    ),
+    "script-not-a-list": (example1_document(script=None), "script must be a list"),
+    "script-entry-without-category": (
+        example1_document(script=[{"author": "U3"}, *_SCRIPT[1:]]),
+        "script entry 0 missing key 'category'",
+    ),
+    "pins-not-a-list": (example1_document(pins="x"), "pins must be a list"),
+    "pin-not-an-object": (example1_document(pins=[1, 2]), "pins entry 0 must be an object"),
+    "pin-without-mass": (
+        example1_document(pins=[{"rank": 1}]),
+        "pins entry 0 missing key 'mass'",
+    ),
+    "concentration-not-a-pair": (
+        example1_document(concentration=0.7),
+        "concentration must be a (lo, hi) pair",
+    ),
+    "concentration-null": (
+        example1_document(concentration=None),
+        "concentration must be a (lo, hi) pair",
+    ),
+    # ScenarioSpec's order decides: its role check runs before its pin checks
+    "bad-role-and-bad-pin": (
+        example1_document(
+            users=[{"id": "U1", "role": "x"}, *_USERS[1:]], pins=[{"rank": 1.5, "mass": 0.9}]
+        ),
+        "unknown role 'x' for 'U1'",
+    ),
+}
+
+
 class TestSpecJson:
     def test_round_trip(self):
         spec = pin_masses(tiny_spec(), [(1, 0.9)])
@@ -392,6 +471,23 @@ class TestSpecJson:
         for factory in (example1, example2):
             spec = factory()
             assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize("document, text", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_document_message(self, document, text):
+        with pytest.raises(InvalidSpec) as err:
+            spec_from_dict(document)
+        assert type(err.value) is InvalidSpec
+        assert str(err.value) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_documents)
+def test_any_json_document_is_a_spec_or_a_belief_error(doc):
+    try:
+        spec = spec_from_dict(doc)
+    except BeliefError:
+        return
+    assert isinstance(spec, ScenarioSpec)
 
 
 class TestBuiltinScenarios:
