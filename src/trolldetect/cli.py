@@ -9,21 +9,40 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import replace
+from importlib import import_module
 
 import click
 
 from . import __version__
-from .conflict import conflict, inclusion_degree, symmetric_inclusion
-from .belief import jousselme_distance
 from .errors import BeliefError, Degenerate
-from .pipeline import analyze
-from .simulate import BUILTIN_SCENARIOS, GENERATOR_ID, generate, load_spec
-from .thread import _dumps, load_thread, thread_to_json, write_json_atomic
 
-# Unused here, but bench/tracing.py wraps it by this module's name (the
-# ``thread.to_dict`` span), so it stays bound.
-from .thread import thread_to_dict  # noqa: F401
+# name -> module: each loads on first use, so a command imports only what
+# it runs.  The commands look these up on the module (``_cli.<name>``), so
+# a name rebound here, as bench/tracing.py does, is the one that runs.
+# ``thread_to_dict`` is unused here but bench/tracing.py wraps it by this
+# module's name (the ``thread.to_dict`` span).
+_LAZY = {
+    name: module
+    for module, names in (
+        ("thread", "load_thread thread_to_json thread_to_dict write_json_atomic _dumps"),
+        ("simulate", "BUILTIN_SCENARIOS GENERATOR_ID generate load_spec"),
+        ("pipeline", "analyze"),
+        ("conflict", "conflict inclusion_degree symmetric_inclusion"),
+        ("belief", "jousselme_distance"),
+    )
+    for name in names.split()
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_IO = 1
 EXIT_INVALID = 2
@@ -67,7 +86,9 @@ def main():
 @main.command()
 @click.option(
     "--scenario",
-    type=click.Choice(sorted(BUILTIN_SCENARIOS)),
+    # BUILTIN_SCENARIOS's keys, written out so that defining the command
+    # line imports no simulate; a test keeps the two equal.
+    type=click.Choice(("example1", "example2")),
     default=None,
     help="Use a built-in scenario.",
 )
@@ -81,23 +102,25 @@ def simulate(scenario, spec_path, seed, out_path):
     if (scenario is None) == (spec_path is None):
         _fail(EXIT_INVALID, "give exactly one of --scenario or --spec")
     if scenario is not None:
-        spec = BUILTIN_SCENARIOS[scenario]()
+        spec = _cli.BUILTIN_SCENARIOS[scenario]()
     else:
-        spec = _load_or_exit(load_spec, spec_path, "scenario")
+        spec = _load_or_exit(_cli.load_spec, spec_path, "scenario")
     if seed is not None:
+        from dataclasses import replace
+
         spec = replace(spec, seed=seed)
     try:
-        thread = generate(spec)
+        thread = _cli.generate(spec)
     except BeliefError as exc:
         _fail(EXIT_INVALID, f"invalid scenario: {exc}")
     meta = {
         "tool": "trolldetect",
         "version": __version__,
-        "generator": GENERATOR_ID,
+        "generator": _cli.GENERATOR_ID,
         "seed": spec.seed,
     }
     try:
-        write_json_atomic(thread_to_json(thread, meta), out_path)
+        _cli.write_json_atomic(_cli.thread_to_json(thread, meta), out_path)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
     click.echo(
@@ -113,10 +136,10 @@ def simulate(scenario, spec_path, seed, out_path):
 )
 def detect(thread_path, json_path):
     """Score a thread's users and split them into trolls and others."""
-    thread = _load_or_exit(load_thread, thread_path, "thread")
+    thread = _load_or_exit(_cli.load_thread, thread_path, "thread")
     started = time.perf_counter()
     try:
-        report = analyze(thread)
+        report = _cli.analyze(thread)
     except Degenerate as exc:
         _fail(EXIT_DEGENERATE, f"cannot cluster users: {exc}")
     elapsed = time.perf_counter() - started
@@ -140,7 +163,7 @@ def detect(thread_path, json_path):
             "report": summary,
         }
         try:
-            write_json_atomic(_dumps(document), json_path)
+            _cli.write_json_atomic(_cli._dumps(document), json_path)
         except OSError as exc:
             _fail(EXIT_IO, f"cannot write {json_path}: {exc}")
 
@@ -151,18 +174,18 @@ def detect(thread_path, json_path):
 @click.option("--b", "rank_b", type=int, required=True, help="Second message rank.")
 def conflict_pair(thread_path, rank_a, rank_b):
     """Inspect the conflict between two messages of a thread."""
-    thread = _load_or_exit(load_thread, thread_path, "thread")
+    thread = _load_or_exit(_cli.load_thread, thread_path, "thread")
     try:
         first = thread.message(rank_a)
         second = thread.message(rank_b)
     except BeliefError as exc:
         _fail(EXIT_INVALID, str(exc))
     click.echo(f"message {rank_a} ({first.author}) vs message {rank_b} ({second.author})")
-    click.echo(f"  inclusion degree a in b: {inclusion_degree(first.bba, second.bba):.12f}")
-    click.echo(f"  inclusion degree b in a: {inclusion_degree(second.bba, first.bba):.12f}")
-    click.echo(f"  symmetric inclusion    : {symmetric_inclusion(first.bba, second.bba):.12f}")
-    click.echo(f"  distance               : {jousselme_distance(first.bba, second.bba):.12f}")
-    click.echo(f"  conflict               : {conflict(first.bba, second.bba):.12f}")
+    click.echo(f"  inclusion degree a in b: {_cli.inclusion_degree(first.bba, second.bba):.12f}")
+    click.echo(f"  inclusion degree b in a: {_cli.inclusion_degree(second.bba, first.bba):.12f}")
+    click.echo(f"  symmetric inclusion    : {_cli.symmetric_inclusion(first.bba, second.bba):.12f}")
+    click.echo(f"  distance               : {_cli.jousselme_distance(first.bba, second.bba):.12f}")
+    click.echo(f"  conflict               : {_cli.conflict(first.bba, second.bba):.12f}")
 
 
 if __name__ == "__main__":

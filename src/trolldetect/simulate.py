@@ -170,12 +170,11 @@ def _check_pin(rank: int, mass: float, script_length: int) -> None:
 def pin_masses(
     spec: ScenarioSpec, overrides: Iterable[tuple[int, float]]
 ) -> ScenarioSpec:
-    """A copy of the scenario with given ranks' dominant masses fixed."""
-    pins = dict(spec.pins)
-    for rank, mass in overrides:
-        _check_pin(rank, mass, len(spec.script))
-        pins[rank] = mass
-    return replace(spec, pins=pins)
+    """A copy of the scenario with given ranks' dominant masses fixed.  The
+    overrides pass ``ScenarioSpec``'s pin rules on their own (no rank
+    twice), then replace the spec's pins for their ranks."""
+    overrides = replace(spec, pins=overrides).pins
+    return replace(spec, pins={**spec.pins, **overrides})
 
 
 def _category_set(frame: MessageFrame, entry: ScriptEntry) -> int:

@@ -1,11 +1,16 @@
 """Shared generators for randomized tests (seeded and hypothesis-based),
-and the scenario document writer the spec tests use."""
+the scenario document writer the spec tests use, and a fresh-interpreter
+runner."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -35,6 +40,22 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
         ],
         "pins": [{"rank": r, "mass": m} for r, m in sorted(spec.pins.items())],
     }
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``trolldetect``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = [str(src)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def make_frame(n: int) -> Frame:

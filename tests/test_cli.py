@@ -2,9 +2,6 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -24,9 +21,9 @@ from trolldetect import (
 )
 from trolldetect.cli import main
 from trolldetect.errors import BeliefError
-from trolldetect.simulate import example1
+from trolldetect.simulate import BUILTIN_SCENARIOS, example1
 
-from helpers import json_documents, spec_to_dict
+from helpers import json_documents, run_python, spec_to_dict
 
 
 @pytest.fixture
@@ -402,20 +399,80 @@ assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
     assert result.returncode == 0, result.stderr
 
 
-def run_python(script, *args):
-    """Run ``script`` in a fresh interpreter that imports this checkout's
-    ``trolldetect``."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    pythonpath = [str(src)] + [
-        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
-        capture_output=True,
-        text=True,
-        timeout=60,
+# What each command loads, run in a fresh interpreter; the last stdout
+# line lists sys.modules after the command.
+COMMAND_MODULES = """
+import json, sys
+from trolldetect.cli import main
+try:
+    main(sys.argv[1:], prog_name="trolldetect")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+SCORING = {"trolldetect.pipeline", "trolldetect.clustering", "numpy"}
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [
+        (["--version"], SCORING | {"trolldetect.thread", "trolldetect.simulate"}),
+        (["--help"], SCORING | {"trolldetect.thread", "trolldetect.simulate"}),
+        (["conflict", "--thread", "{file}", "--a", "5", "--b", "1"], SCORING | {"trolldetect.simulate"}),
+        (["simulate", "--scenario", "example1", "--out", "{out}"], SCORING - {"numpy"}),
+        (["detect", "--thread", "{file}"], {"trolldetect.simulate"}),
+    ],
+    ids=["version", "help", "conflict", "simulate", "detect"],
+)
+def test_each_command_imports_only_what_it_runs(example1_file, tmp_path, args, unloaded):
+    args = [a.format(file=example1_file, out=tmp_path / "out.json") for a in args]
+    result = run_python(COMMAND_MODULES, *args)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    assert not loaded & unloaded, sorted(loaded & unloaded)
+
+
+def test_scenario_choices_are_the_builtin_scenarios(runner, tmp_path):
+    (scenario,) = [p for p in main.commands["simulate"].params if p.name == "scenario"]
+    assert list(scenario.type.choices) == sorted(BUILTIN_SCENARIOS)
+    result = runner.invoke(
+        main, ["simulate", "--scenario", "nope", "--out", str(tmp_path / "o.json")]
     )
+    assert result.exit_code == 2
+    assert "'nope' is not one of 'example1', 'example2'" in result.output
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_commands_call_the_names_bound_on_the_cli_module(monkeypatch, runner, tmp_path):
+    # bench/tracing.py times the commands by rebinding these names on the
+    # cli module, so each command must look them up there when it runs.
+    import trolldetect.cli as cli
+
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # thread_to_dict is bound only for the bench's span; no command calls it.
+    names = {n for n in cli._LAZY if callable(getattr(cli, n))} - {"thread_to_dict"}
+    for name in names:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_dict(example1())))
+    thread = str(tmp_path / "thread.json")
+    for args in (
+        ["simulate", "--scenario", "example1", "--out", thread],
+        ["simulate", "--spec", str(spec), "--out", thread],
+        ["detect", "--thread", thread, "--json", str(tmp_path / "report.json")],
+        ["conflict", "--thread", thread, "--a", "5", "--b", "1"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert called == names
 
 
 class TestDetect:

@@ -1,0 +1,82 @@
+"""The package's public names: one table, loaded on first access."""
+
+import json
+
+import pytest
+
+import trolldetect
+import trolldetect.cli as cli
+
+from helpers import run_python
+
+EXPORTS = {
+    "__version__", "errors",
+    "Frame", "MassFunction", "combine_conjunctive", "combine_dempster",
+    "combine_disjunctive", "global_conflict", "jaccard", "jousselme_distance",
+    "inclusion_index", "inclusion_degree", "symmetric_inclusion", "conflict",
+    "MessageFrame", "Message", "Thread", "thread_from_dict", "thread_to_dict",
+    "thread_to_json", "load_thread",
+    "ConflictReport", "message_conflict_per_user", "message_conflict",
+    "user_conflict", "analyze",
+    "Partition2", "kmeans2",
+    "ScenarioSpec", "ScriptEntry", "generate", "pin_masses", "example1",
+    "example2", "BUILTIN_SCENARIOS",
+}
+
+
+def test_all_lists_every_export_once():
+    assert len(trolldetect.__all__) == len(EXPORTS) == 35
+    assert set(trolldetect.__all__) == EXPORTS
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_each_export_resolves_to_its_module_object(name):
+    value = getattr(trolldetect, name)
+    if name in ("__version__", "errors"):
+        return
+    module = __import__(f"trolldetect.{trolldetect._MODULE_OF[name]}", fromlist=[name])
+    assert value is getattr(module, name)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from trolldetect import *", namespace)
+    assert EXPORTS <= set(namespace)
+    assert namespace["conflict"] is trolldetect.conflict
+
+
+def test_dir_lists_the_exports():
+    assert EXPORTS <= set(dir(trolldetect))
+
+
+@pytest.mark.parametrize("module", [trolldetect, cli], ids=["trolldetect", "cli"])
+def test_unknown_attribute_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        module.nope
+
+
+def test_cli_lazy_names_resolve():
+    # bench/tracing.py reads and rebinds these on the cli module.
+    for name in cli._LAZY:
+        module = __import__(f"trolldetect.{cli._LAZY[name]}", fromlist=[name])
+        assert getattr(cli, name) is getattr(module, name)
+
+
+def test_exports_load_on_first_access_and_conflict_stays_the_function():
+    script = """
+import json, sys
+import trolldetect
+before = sorted(sys.modules)
+trolldetect.Thread
+after_thread = sorted(sys.modules)
+import trolldetect.pipeline
+print(json.dumps([before, after_thread, callable(trolldetect.conflict),
+                  trolldetect.conflict is sys.modules["trolldetect.conflict"].conflict]))
+"""
+    result = run_python(script)
+    assert result.returncode == 0, result.stderr
+    before, after_thread, is_callable, is_function = json.loads(result.stdout)
+    lazy = {"trolldetect.thread", "trolldetect.simulate", "trolldetect.pipeline", "trolldetect.clustering"}
+    assert not lazy & set(before)
+    assert lazy & set(after_thread) == {"trolldetect.thread"}
+    assert is_callable and is_function

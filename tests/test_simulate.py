@@ -324,6 +324,19 @@ class TestPinning:
         pin_masses(spec, [(1, 0.8)])
         assert spec.pins == {}
 
+    def test_pin_masses_replaces_an_existing_pin(self):
+        spec = pin_masses(example1(), [(1, 0.5), (2, 0.6)])
+        assert spec.pins == {**example1().pins, 1: 0.5, 2: 0.6}
+
+    def test_pin_masses_rejects_a_rank_given_twice(self):
+        with pytest.raises(InvalidSpec, match="^pinned rank 2 appears more than once$"):
+            pin_masses(example1(), [(2, 0.9), (2, 0.8)])
+
+    @pytest.mark.parametrize("overrides", [[1], [(1, 0.5, 3)], 5], ids=["int", "triple", "scalar"])
+    def test_pin_masses_rejects_overrides_that_are_not_pairs(self, overrides):
+        with pytest.raises(InvalidSpec, match="^pins must map ranks to masses$"):
+            pin_masses(example1(), overrides)
+
 
 class TestGeneration:
     def test_same_seed_same_thread(self):
