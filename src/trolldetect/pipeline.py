@@ -14,8 +14,8 @@ Three levels of aggregation:
   posts included in the divisor.
 
 ``analyze``, ``message_conflict`` and ``user_conflict`` all score messages
-through one tiled kernel (numpy, imported on first use), so they agree
-exactly.  ``analyze`` then clusters the per-user scores into two
+through one tiled numpy kernel that sums each row over its own entries, so
+they agree exactly.  ``analyze`` then clusters the per-user scores into two
 groups and labels the higher-centered group as trolls.
 """
 
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import islice
 from math import fsum
 from typing import Any
+
+import numpy as np
 
 from .belief import INTERNAL_TOLERANCE
 from .clustering import kmeans2
@@ -73,7 +74,8 @@ class ConflictReport:
 
 def message_conflict_per_user(thread: Thread, rank: int, user: str) -> float:
     """Mean conflict between the message at ``rank`` and the earlier
-    messages of one other user."""
+    messages of one other user; scalar, because the kernel would pack the
+    whole thread on every call."""
     msg = thread.message(rank)
     if user not in thread.users:
         raise UnknownUser(f"{user!r} is not on the roster")
@@ -164,12 +166,10 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     scores them against every message before its last row at once, in
     column blocks, so that its per-pair temporaries stay within
     ``_BLOCK_ENTRIES``.
-    Each row is then reduced over exactly its own earlier messages by other
-    authors with ``fsum``, which is order-free, so a row's result does not
-    depend on which rows share its tile.
+    Each row is then reduced by numpy's pairwise sum over exactly its own
+    entries (earlier messages by other authors), masked out of its tile: the
+    same contiguous array in column order in any tile, so the same bits.
     """
-    import numpy as np
-
     messages = thread.messages
     sizes = np.array([len(m.bba) for m in messages])
     live = np.arange(sizes.max()) < sizes[:, None]
@@ -179,9 +179,9 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     masses = np.zeros(live.shape)
     masses[live] = [v for m in messages for _, v in m.bba.items()]
     vocabulary = sorted(set(sets))
-    packed, packing = _vocabulary_packing(np, vocabulary, masks, masses, live), "vocabulary"
+    packed, packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
     if packed is None:
-        packed, packing = _slot_packing(np, masks, masses, live), "slots"
+        packed, packing = _slot_packing(masks, masses, live), "slots"
     score, per_pair = packed
     budget = max(1, _BLOCK_ENTRIES // per_pair)  # pairs per tile
     roster = {user: k for k, user in enumerate(thread.users)}
@@ -204,11 +204,10 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
             values[:, start:stop] = score(tile, start, stop)
         # Each row's own entries: earlier messages by other authors.
         opposed = (np.arange(columns) < tile[:, None]) & (authors[:columns] != authors[tile, None])
-        counts = opposed.sum(axis=1).tolist()
-        conflicts = iter(values[opposed].tolist())  # row after row
-        for count in counts:
-            scores.append(fsum(islice(conflicts, count)) / count if count else 0.0)
-        pairs += sum(counts)
+        for row, mask in zip(values, opposed):
+            own = row[mask]
+            scores.append(float(own.sum()) / own.size if own.size else 0.0)
+        pairs += int(opposed.sum())
         first = last
     scoring = {
         "messages": len(messages),
@@ -220,20 +219,20 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     return scores, scoring
 
 
-def _conflict(np, nested, squared):
+def _conflict(nested, squared):
     """Conflict from the nested share and the quadratic form of each pair."""
     if (squared < -INTERNAL_TOLERANCE).any():
         raise ArithmeticError("quadratic form went negative; inputs are corrupt")
     return (1.0 - nested) * np.sqrt(np.maximum(squared, 0.0))
 
 
-def _jaccard(np, x, y):
+def _jaccard(x, y):
     """Element-wise Jaccard similarity of two broadcastable mask arrays."""
     union = np.bitwise_count(x | y)
     return np.divide(np.bitwise_count(x & y), union, out=np.ones(union.shape), where=union > 0)
 
 
-def _vocabulary_packing(np, vocabulary, masks, masses, live):
+def _vocabulary_packing(vocabulary, masks, masses, live):
     """Tile scorer over a dense M x K mass matrix A on the thread's sorted
     distinct focal sets, with its cost per pair: K + 8 entries, its K mass
     differences and the eight pair-sized arrays scored alongside them.  None
@@ -254,7 +253,7 @@ def _vocabulary_packing(np, vocabulary, masks, masses, live):
     limit = _VOCABULARY_RATIO * masks.shape[1] ** 2
     terms, count = [], 0
     for k, s in enumerate(vocabulary):
-        row = _jaccard(np, s, sets[k:])
+        row = _jaccard(s, sets[k:])
         found = np.flatnonzero(row).tolist()
         count += len(found)
         if (size + count) * size > limit:
@@ -278,12 +277,12 @@ def _vocabulary_packing(np, vocabulary, masks, masses, live):
         x_in_y = reach[rows] @ focal[start:stop].T
         y_in_x = focal[rows] @ reach[start:stop].T
         nested = np.maximum(x_in_y, y_in_x) / (counts[rows, None] * counts[None, start:stop])
-        return _conflict(np, nested, squared)
+        return _conflict(nested, squared)
 
     return score, size + 8
 
 
-def _slot_packing(np, masks, masses, live):
+def _slot_packing(masks, masses, live):
     """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
     per pair, (2P)^2 entries (its Jaccard matrix).  Each pair is scored with
     the arithmetic of :func:`~trolldetect.conflict.conflict` on the union of
@@ -315,8 +314,8 @@ def _slot_packing(np, masks, masses, live):
              np.broadcast_to(masks[None, start:stop], shape)],
             axis=2,
         ).reshape(-1, 2 * width)
-        similarity = _jaccard(np, sets[:, :, None], sets[:, None, :])
+        similarity = _jaccard(sets[:, :, None], sets[:, None, :])
         squared = 0.5 * np.einsum("ps,pst,pt->p", delta, similarity, delta)
-        return _conflict(np, nested, squared.reshape(shape[:2]))
+        return _conflict(nested, squared.reshape(shape[:2]))
 
     return score, 4 * width * width

@@ -207,8 +207,8 @@ class Thread:
         object.__setattr__(self, "messages", messages)
 
     def message(self, rank: int) -> Message:
-        if not 1 <= rank <= len(self.messages):
-            raise RankOutOfBounds(f"rank {rank} outside 1..{len(self.messages)}")
+        if type(rank) is not int or not 1 <= rank <= len(self.messages):
+            raise RankOutOfBounds(f"rank {rank!r} outside 1..{len(self.messages)}")
         return self.messages[rank - 1]
 
     def ranks_by(self, user: str) -> tuple[int, ...]:

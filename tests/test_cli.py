@@ -740,3 +740,10 @@ class TestConflictCommand:
             main, ["conflict", "--thread", str(thread_path), "--a", "1", "--b", "99"]
         )
         assert result.exit_code == 2
+
+    def test_rank_zero_names_the_range(self, runner, thread_path):
+        result = runner.invoke(
+            main, ["conflict", "--thread", str(thread_path), "--a", "0", "--b", "1"]
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: rank 0 outside 1..16\n"

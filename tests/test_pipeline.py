@@ -147,6 +147,14 @@ class TestMessageConflict:
         with pytest.raises(RankOutOfBounds):
             message_conflict(t, 9)
 
+    @pytest.mark.parametrize("rank", [True, 2.0, "3", None], ids=repr)
+    def test_rank_that_is_not_an_int_rejected(self, rank):
+        t = build(("B", certain(T1)), ("A", certain(T2)), ("C", certain(T1)))
+        for score in (lambda: message_conflict(t, rank), lambda: message_conflict_per_user(t, rank, "C")):
+            with pytest.raises(RankOutOfBounds) as err:
+                score()
+            assert str(err.value) == f"rank {rank!r} outside 1..3"
+
 
 class TestUserConflict:
     def test_always_agreeing_user_scores_zero(self):
@@ -444,6 +452,31 @@ class TestForcedPacking:
                 monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", pairs * pair_cost(t, scoring))
                 tiled, _ = pipeline._score_rows(t, range(1, len(t.messages) + 1))
                 assert tiled == per_message
+
+    def test_long_rows_match_scalar_conflict_and_any_tiling(self, packing, monkeypatch):
+        # Rows of about 200 own entries: past 128, numpy's pairwise sum
+        # halves recursively instead of running eight accumulators.
+        rng = random.Random(35)
+        frame = MessageFrame(topic_count=3, relevant_topic=1)
+        users = ("A", "B", "C")
+        authors = users + tuple(rng.choice(users) for _ in range(297))
+        t = Thread(frame=frame, users=users, messages=tuple(
+            Message(author=author, rank=rank,
+                    bba=random_mass(rng, frame.frame, allow_empty=True, max_focal=6))
+            for rank, author in enumerate(authors, start=1)
+        ))
+        longest = max(sum(m.author != msg.author for m in t.messages[: msg.rank - 1]) for msg in t.messages)
+        assert longest > 128
+        report = analyze(t)
+        assert report.scoring["packing"] == packing
+        for rank, got in enumerate(report.per_message, start=1):
+            assert got == pytest.approx(scalar_flat_mean(t, rank), abs=1e-12)
+        for user in users:
+            assert user_conflict(t, user) == report.per_user[user]
+        ranks = range(1, len(t.messages) + 1)
+        default, scoring = pipeline._score_rows(t, ranks)
+        monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", 64 * pair_cost(t, scoring))
+        assert pipeline._score_rows(t, ranks)[0] == default
 
 
 def pair_cost(thread, scoring):

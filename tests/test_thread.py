@@ -171,6 +171,15 @@ class TestThreadValidation:
         with pytest.raises(RankOutOfBounds):
             t.message(0)
 
+    @pytest.mark.parametrize("rank", [True, 2.0, "3", None], ids=repr)
+    def test_rank_that_is_not_an_int_rejected_by_message(self, rank):
+        # The thread's own rank rule rejects these; message() must too, not
+        # read True as rank 1 or fail in tuple indexing.
+        t = Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", 1), msg("U2", 2)))
+        with pytest.raises(RankOutOfBounds) as err:
+            t.message(rank)
+        assert str(err.value) == f"rank {rank!r} outside 1..2"
+
     def test_unknown_user(self):
         t = Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", 1), msg("U2", 2)))
         with pytest.raises(UnknownUser):
