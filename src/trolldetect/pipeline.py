@@ -31,7 +31,7 @@ import numpy as np
 from .belief import INTERNAL_TOLERANCE
 from .clustering import kmeans2
 from .conflict import conflict
-from .errors import NoPriorMessages, SameUser, UnknownUser
+from .errors import NoPriorMessages, SameUser
 from .thread import Thread
 
 __all__ = [
@@ -77,14 +77,12 @@ def message_conflict_per_user(thread: Thread, rank: int, user: str) -> float:
     messages of one other user; scalar, because the kernel would pack the
     whole thread on every call."""
     msg = thread.message(rank)
-    if user not in thread.users:
-        raise UnknownUser(f"{user!r} is not on the roster")
-    if user == msg.author:
-        raise SameUser(f"message {rank} belongs to {user!r}")
-    priors = [m for m in thread.messages[: rank - 1] if m.author == user]
+    if user == msg.author:  # on the roster, so UnknownUser cannot come first
+        raise SameUser(f"message {msg.rank} belongs to {user!r}")
+    priors = [thread.messages[r - 1].bba for r in thread.ranks_by(user) if r < msg.rank]
     if not priors:
-        raise NoPriorMessages(f"{user!r} has no messages before rank {rank}")
-    return fsum(conflict(msg.bba, p.bba) for p in priors) / len(priors)
+        raise NoPriorMessages(f"{user!r} has no messages before rank {msg.rank}")
+    return fsum(conflict(msg.bba, p) for p in priors) / len(priors)
 
 
 def message_conflict(thread: Thread, rank: int) -> float:
@@ -93,17 +91,17 @@ def message_conflict(thread: Thread, rank: int) -> float:
     per-user means weighted by how many of those messages each user posted.
 
     Returns 0 for a message with no earlier messages from other users.
+    Each call packs the thread: for many, read one ``analyze``'s ``per_message``.
     """
-    thread.message(rank)  # RankOutOfBounds before a bad rank can index
-    scores, _ = _score_rows(thread, (rank,))
+    scores, _ = _score_rows(thread, (thread.message(rank).rank,))
     return scores[0]
 
 
 def user_conflict(thread: Thread, user: str) -> float:
-    """Mean conflict over all of a user's messages."""
-    ranks = thread.ranks_by(user)
-    scores, _ = _score_rows(thread, ranks)
-    return fsum(scores) / len(ranks)
+    """Mean conflict over all of a user's messages.  Each call packs the
+    thread: for many, read one ``analyze``'s ``per_user`` (the same bits)."""
+    scores, _ = _score_rows(thread, thread.ranks_by(user))
+    return fsum(scores) / len(scores)
 
 
 def analyze(thread: Thread) -> ConflictReport:
@@ -179,9 +177,9 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     masses = np.zeros(live.shape)
     masses[live] = [v for m in messages for _, v in m.bba.items()]
     vocabulary = sorted(set(sets))
-    packed, packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
+    packed, packing = _vocabulary_packing(vocabulary, masks, masses, live, sizes), "vocabulary"
     if packed is None:
-        packed, packing = _slot_packing(masks, masses, live), "slots"
+        packed, packing = _slot_packing(masks, masses, live, sizes), "slots"
     score, per_pair = packed
     budget = max(1, _BLOCK_ENTRIES // per_pair)  # pairs per tile
     roster = {user: k for k, user in enumerate(thread.users)}
@@ -232,7 +230,7 @@ def _jaccard(x, y):
     return np.divide(np.bitwise_count(x & y), union, out=np.ones(union.shape), where=union > 0)
 
 
-def _vocabulary_packing(vocabulary, masks, masses, live):
+def _vocabulary_packing(vocabulary, masks, masses, live, sizes):
     """Tile scorer over a dense M x K mass matrix A on the thread's sorted
     distinct focal sets, with its cost per pair: K + 8 entries, its K mass
     differences and the eight pair-sized arrays scored alongside them.  None
@@ -251,12 +249,11 @@ def _vocabulary_packing(vocabulary, masks, masses, live):
     """
     size, sets = len(vocabulary), np.array(vocabulary, dtype=np.int64)
     limit = _VOCABULARY_RATIO * masks.shape[1] ** 2
-    terms, count = [], 0
+    terms = []
     for k, s in enumerate(vocabulary):
         row = _jaccard(s, sets[k:])
         found = np.flatnonzero(row).tolist()
-        count += len(found)
-        if (size + count) * size > limit:
+        if (size + len(terms) + len(found)) * size > limit:
             return None
         terms += [(k, k + j, 0.5 if j == 0 else float(row[j])) for j in found]
 
@@ -264,7 +261,6 @@ def _vocabulary_packing(vocabulary, masks, masses, live):
     matrix[np.searchsorted(sets, masks[live]), live.nonzero()[0]] = masses[live]
     focal = (matrix.T > 0.0).astype(float)
     reach = focal @ ((sets[:, None] & sets[None, :]) == sets[:, None])  # F N: own sets inside each set
-    counts = live.sum(axis=1)
 
     def score(rows, start, stop):
         delta = matrix[:, rows, None] - matrix[:, None, start:stop]
@@ -276,20 +272,19 @@ def _vocabulary_packing(vocabulary, masks, masses, live):
             squared += term
         x_in_y = reach[rows] @ focal[start:stop].T
         y_in_x = focal[rows] @ reach[start:stop].T
-        nested = np.maximum(x_in_y, y_in_x) / (counts[rows, None] * counts[None, start:stop])
+        nested = np.maximum(x_in_y, y_in_x) / (sizes[rows, None] * sizes[None, start:stop])
         return _conflict(nested, squared)
 
     return score, size + 8
 
 
-def _slot_packing(masks, masses, live):
+def _slot_packing(masks, masses, live, sizes):
     """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
     per pair, (2P)^2 entries (its Jaccard matrix).  Each pair is scored with
     the arithmetic of :func:`~trolldetect.conflict.conflict` on the union of
     its focal sets: a 2P x 2P Jaccard matrix and one quadratic form per
     pair."""
     width = masks.shape[1]
-    counts = live.sum(axis=1)
 
     def score(rows, start, stop):
         # Axes: row, column, then a slot of the row's bba, then the column's.
@@ -299,7 +294,7 @@ def _slot_packing(masks, masses, live):
         meet = x & y
         x_in_y = ((meet == x) & pairs).sum(axis=(2, 3))
         y_in_x = ((meet == y) & pairs).sum(axis=(2, 3))
-        nested = np.maximum(x_in_y, y_in_x) / (counts[rows, None] * counts[None, start:stop])
+        nested = np.maximum(x_in_y, y_in_x) / (sizes[rows, None] * sizes[None, start:stop])
 
         # A focal set shared by both bbas keeps one entry, a - b.
         shared = (x == y) & pairs

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import operator
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -180,11 +181,11 @@ class Thread:
     messages: tuple[Message, ...]
 
     def __post_init__(self):
-        users = tuple(self.users)
+        users, messages = tuple(self.users), tuple(self.messages)
         try:
-            messages = tuple(sorted(self.messages, key=attrgetter("rank")))
+            messages = tuple(sorted(messages, key=attrgetter("rank")))
         except TypeError:  # ranks that do not compare, such as "1" and 2
-            messages = tuple(self.messages)  # the rank check below reports them
+            pass  # the rank check below reports them
         _check_roster(users, [msg.author for msg in messages])
         misplaced = [
             (p, m.rank)
@@ -195,21 +196,23 @@ class Thread:
             position, rank = misplaced[0]
             raise InvalidThread(
                 f"ranks must be exactly 1..{len(messages)} with no gaps: "
-                f"{len(misplaced)} out of place, first rank {rank} at position {position}"
+                f"{len(misplaced)} out of place, first rank {rank!r} at position {position}"
             )
         frame = self.frame.frame
         for msg in messages:
             if msg.bba.frame is not frame and msg.bba.frame != frame:
-                raise InvalidThread(
-                    f"message {msg.rank} uses a different frame than the thread"
-                )
+                raise InvalidThread(f"message {msg.rank} uses a different frame than the thread")
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "messages", messages)
 
     def message(self, rank: int) -> Message:
-        if type(rank) is not int or not 1 <= rank <= len(self.messages):
+        try:  # any integer but a bool, numpy's included
+            index = 0 if isinstance(rank, bool) else operator.index(rank)
+        except TypeError:  # 2.0, "3" or None
+            index = 0
+        if not 1 <= index <= len(self.messages):
             raise RankOutOfBounds(f"rank {rank!r} outside 1..{len(self.messages)}")
-        return self.messages[rank - 1]
+        return self.messages[index - 1]
 
     def ranks_by(self, user: str) -> tuple[int, ...]:
         if user not in self.users:
@@ -227,9 +230,9 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
     gains a ``message <i>: `` prefix.
     """
     # Each check builds its message only when it fails: a large thread
-    # passes several checks per message.  Each type check tests the exact
-    # type ``json.load`` returns first, and falls back to the ``isinstance``
-    # check that decides, so subclasses and other mappings are judged alike.
+    # passes several checks per message.  A plain ``isinstance`` is as fast
+    # as an exact-type test; only the ``Mapping`` checks (an ABC lookup) and
+    # the rank check (``bool`` excluded) test ``json.load``'s type first.
     if type(data) is not dict and not isinstance(data, Mapping):
         raise InvalidThread("thread document must be a JSON object")
     for key in ("topic_count", "relevant_topic", "users", "messages"):
@@ -256,9 +259,9 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
             rank, author, bba = raw["rank"], raw["author"], raw["bba"]
             if type(rank) is not int and (not isinstance(rank, int) or isinstance(rank, bool)):
                 raise InvalidThread("rank must be an integer")
-            if type(author) is not str and not isinstance(author, str):
+            if not isinstance(author, str):
                 raise InvalidThread("author must be a string")
-            if type(bba) is not list and not isinstance(bba, list):
+            if not isinstance(bba, list):
                 raise InvalidThread("bba must be a list")
             assignments = []
             for j, entry in enumerate(bba):
@@ -269,7 +272,7 @@ def thread_from_dict(data: Mapping[str, Any]) -> Thread:
                 ):
                     raise InvalidThread(f"bba entry {j} must have 'set' and 'mass'")
                 labels = entry["set"]
-                if type(labels) is not list and not isinstance(labels, list):
+                if not isinstance(labels, list):
                     raise InvalidThread(f"bba entry {j}: 'set' must be a list of strings")
                 key = tuple(labels)
                 try:

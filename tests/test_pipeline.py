@@ -4,6 +4,7 @@ import math
 import random
 from math import fsum
 
+import numpy as np
 import pytest
 
 from trolldetect import pipeline
@@ -87,6 +88,24 @@ class TestMessageConflictPerUser:
         with pytest.raises(UnknownUser):
             message_conflict_per_user(t, 2, "Z")
 
+    @pytest.mark.parametrize(
+        "rank, user, error, text",
+        [
+            (9, "Z", RankOutOfBounds, "rank {!r} outside 1..3"),
+            (3, "Z", UnknownUser, "'Z' is not on the roster"),
+            (3, "B", SameUser, "message 3 belongs to 'B'"),
+            (1, "A", NoPriorMessages, "'A' has no messages before rank 1"),
+        ],
+        ids=["rank", "unknown", "same", "no-prior"],
+    )
+    def test_checks_run_in_order_with_plain_int_texts(self, rank, user, error, text):
+        # A numpy integer rank gets the int's texts, bar its own repr.
+        t = build(("B", certain(T1)), ("A", certain(T1)), ("B", certain(T1)))
+        for given in (rank, np.int64(rank)):
+            with pytest.raises(error) as err:
+                message_conflict_per_user(t, given, user)
+            assert str(err.value) == text.format(given)
+
 
 class TestMessageConflict:
     def test_first_message_is_zero(self):
@@ -154,6 +173,13 @@ class TestMessageConflict:
             with pytest.raises(RankOutOfBounds) as err:
                 score()
             assert str(err.value) == f"rank {rank!r} outside 1..3"
+
+    def test_numpy_integer_rank_answers_like_the_int(self):
+        t = build(("B", certain(T1)), ("A", certain(T2)), ("C", certain(T1)))
+        for rank in (1, 2, 3):
+            assert message_conflict(t, np.int64(rank)) == message_conflict(t, rank)
+        assert message_conflict(t, np.int64(2)) == 1.0
+        assert message_conflict_per_user(t, np.int64(3), "A") == message_conflict_per_user(t, 3, "A")
 
 
 class TestUserConflict:

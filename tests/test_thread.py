@@ -10,6 +10,7 @@ import sys
 import threading
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,14 +146,17 @@ class TestThreadValidation:
         [
             ((1.0, 2.0), "2 out of place, first rank 1.0 at position 1"),
             ((True, 2), "1 out of place, first rank True at position 1"),
-            (("1", 2), "1 out of place, first rank 1 at position 1"),
+            (("1", 2), "1 out of place, first rank '1' at position 1"),
         ],
         ids=["float-ranks", "bool-rank", "mixed-type-ranks"],
     )
     def test_rank_that_is_not_an_int_rejected(self, ranks, text):
-        with pytest.raises(InvalidThread) as err:
-            Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", ranks[0]), msg("U2", ranks[1])))
-        assert str(err.value) == "ranks must be exactly 1..2 with no gaps: " + text
+        # Also from a generator: ranks that do not sort ("1" beside 2) must
+        # not use it up before the rank check reads the messages.
+        for wrap in (tuple, iter):
+            with pytest.raises(InvalidThread) as err:
+                Thread(frame=MF, users=("U1", "U2"), messages=wrap([msg("U1", ranks[0]), msg("U2", ranks[1])]))
+            assert str(err.value) == "ranks must be exactly 1..2 with no gaps: " + text
 
     def test_single_user_rejected(self):
         with pytest.raises(InvalidThread):
@@ -179,6 +183,15 @@ class TestThreadValidation:
         with pytest.raises(RankOutOfBounds) as err:
             t.message(rank)
         assert str(err.value) == f"rank {rank!r} outside 1..2"
+
+    def test_numpy_integer_rank_answers_like_the_int(self):
+        t = Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", 1), msg("U2", 2)))
+        assert t.message(np.int64(2)) is t.message(2) is t.messages[1]
+        assert t.message(_Rank.TWO) is t.messages[1]
+        for rank in (np.int64(0), np.int64(3)):
+            with pytest.raises(RankOutOfBounds) as err:
+                t.message(rank)
+            assert str(err.value) == f"rank {rank!r} outside 1..2"
 
     def test_unknown_user(self):
         t = Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", 1), msg("U2", 2)))
@@ -580,7 +593,7 @@ SHORTCUT_CASES = [
     ("str-subclass-label", _malformed(lambda d: d["messages"][1]["bba"][0].update(set=[_Str("Topic_2")])),
      None, None),
     ("int-enum-rank", _malformed(_second_message("rank", _Rank)), InvalidThread,
-     "ranks must be exactly 1..2 with no gaps: 1 out of place, first rank 2 at position 2"),
+     "ranks must be exactly 1..2 with no gaps: 1 out of place, first rank <_Rank.TWO: 2> at position 2"),
     ("seen-labels-then-list-label",
      _malformed(lambda d: (_append_entry(["Topic_1"], 0.0)(d), _append_entry([["Topic_1"]], 0.0)(d))),
      InvalidSubset, f"message 1: ['Topic_1'] is not a hypothesis of {FRAME_REPR}"),
