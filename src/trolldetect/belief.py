@@ -54,7 +54,7 @@ class Frame:
     Immutable after construction and safe to share between threads.
     """
 
-    __slots__ = ("_labels", "_positions")
+    __slots__ = ("_labels", "_positions", "_full")
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(labels)
@@ -73,6 +73,7 @@ class Frame:
             positions[label] = i
         self._labels = labels
         self._positions = positions
+        self._full = (1 << len(labels)) - 1
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -81,7 +82,7 @@ class Frame:
     @property
     def full_set(self) -> int:
         """Bitmask of the whole frame."""
-        return (1 << len(self._labels)) - 1
+        return self._full
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -120,7 +121,7 @@ class Frame:
         )
 
     def check_subset(self, subset: int) -> None:
-        if not isinstance(subset, int) or subset < 0 or subset > self.full_set:
+        if not isinstance(subset, int) or subset < 0 or subset > self._full:
             raise InvalidSubset(
                 f"subset {subset!r} is not a valid mask for a frame of size "
                 f"{len(self._labels)}"
@@ -128,7 +129,7 @@ class Frame:
 
     def subsets(self) -> range:
         """All subset masks, empty set through full frame."""
-        return range(self.full_set + 1)
+        return range(self._full + 1)
 
 
 class MassFunction:
@@ -157,8 +158,10 @@ class MassFunction:
     ):
         if type(assignments) is not list and isinstance(assignments, Mapping):
             assignments = assignments.items()
-        full = frame.full_set
+        full = frame._full
         masses: dict[int, float] = {}
+        largest = -1  # the largest subset so far: a larger one is new
+        ascending = True
         for subset, mass in assignments:
             if type(subset) is not int or not 0 <= subset <= full:
                 frame.check_subset(subset)  # raises, or passes an int subclass
@@ -168,8 +171,12 @@ class MassFunction:
                 if not math.isfinite(mass):
                     raise NonFiniteMass(f"mass {mass!r} on subset {subset:#b}")
                 raise NegativeMass(f"mass {mass!r} on subset {subset:#b}")
-            if subset in masses:
+            if subset > largest:
+                largest = subset
+            elif subset in masses:
                 raise DuplicateSubset(f"subset {subset:#b} assigned twice")
+            else:
+                ascending = False
             masses[subset] = mass
         try:
             total = math.fsum(masses.values())
@@ -179,9 +186,10 @@ class MassFunction:
             raise SumNotOne(f"masses sum to {total!r}, expected 1")
         if 0.0 in masses.values():  # -0.0 as well
             masses = {s: m for s, m in masses.items() if m > 0.0}
-        # Sorted storage gives every downstream loop a deterministic order.
+        # Sorted storage gives every downstream loop a deterministic order;
+        # generated bbas and thread files already list subsets ascending.
         self._frame = frame
-        self._masses = dict(sorted(masses.items()))
+        self._masses = masses if ascending else dict(sorted(masses.items()))
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":

@@ -6,6 +6,7 @@ malformed thread file, bad ranks), 3 degenerate clustering.
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 import time
@@ -145,11 +146,14 @@ def detect(thread_path, json_path):
     elapsed = time.perf_counter() - started
 
     summary = report.to_dict()
-    click.echo("user conflict:")
-    for user, value in report.per_user.items():
-        click.echo(f"  {user:<8s} {value:.12f}")
-    click.echo(f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}")
-    click.echo(f"others (center {report.other_center:.12f}): {' '.join(summary['others'])}")
+    # One echo for the table: one per user took 17-25 ms at 5 000 users
+    # (2 vCPUs).
+    click.echo("\n".join([
+        "user conflict:",
+        *(f"  {user:<8s} {value:.12f}" for user, value in report.per_user.items()),
+        f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}",
+        f"others (center {report.other_center:.12f}): {' '.join(summary['others'])}",
+    ]))
 
     if json_path is not None:
         document = {
@@ -188,5 +192,47 @@ def conflict_pair(thread_path, rank_a, rank_b):
     click.echo(f"  conflict               : {_cli.conflict(first.bba, second.bba):.12f}")
 
 
+def run():
+    """The console entry point: ``main``, then an exit without teardown.
+
+    Runs the ``atexit`` handlers and flushes stdout and stderr, as CPython's
+    own exit does first, then skips the rest (a last full collection and the
+    unloading of every module, 13-25 ms a process on 2 vCPUs) with
+    ``os._exit``.  A failed flush or a code that is not an int exits as
+    usual.  In-process callers use ``main``, which never gets here.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        leaving = exc
+    except OSError as exc:  # a standard stream refused a write; click owns EPIPE
+        _drop_unwritable_stdout()
+        click.echo(f"error: cannot write output: {exc}", err=True)
+        leaving = SystemExit(EXIT_IO)
+    code = leaving.code
+    if code is not None and not isinstance(code, int):
+        raise leaving
+    atexit._run_exitfuncs()  # clears them, so a fallback exit runs none twice
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed
+                stream.flush()
+    except (OSError, ValueError):
+        raise leaving from None
+    os._exit(code or 0)
+
+
+def _drop_unwritable_stdout() -> None:
+    """Send what stdout cannot write to the null device, so no later flush
+    fails on it again."""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 if __name__ == "__main__":
-    main()
+    run()

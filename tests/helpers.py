@@ -1,6 +1,6 @@
 """Shared generators for randomized tests (seeded and hypothesis-based),
-the scenario document writer the spec tests use, and a fresh-interpreter
-runner."""
+the scenario document writer the spec tests use, and fresh-interpreter
+runners."""
 
 from __future__ import annotations
 
@@ -45,16 +45,23 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
 def run_python(script, *args):
     """Run ``script`` in a fresh interpreter that imports this checkout's
     ``trolldetect``."""
+    return run_interpreter(["-c", script, *args], capture_output=True, text=True)
+
+
+def run_interpreter(args, env=None, **kwargs):
+    """Run ``python ARGS`` (``subprocess.run`` keywords in ``kwargs``) with
+    this checkout's ``trolldetect`` importable; ``env`` adds to the current
+    environment, and a ``None`` value removes a variable."""
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = [str(src)] + [
         p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
     ]
+    child = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath), **(env or {})}
     return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
-        capture_output=True,
-        text=True,
+        [sys.executable, *args],
+        env={k: v for k, v in child.items() if v is not None},
         timeout=60,
+        **kwargs,
     )
 
 

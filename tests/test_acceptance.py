@@ -5,13 +5,9 @@ line per criterion.  Tolerances are fixed here, not configurable.
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from trolldetect import (
     MassFunction,
@@ -34,7 +30,7 @@ from trolldetect import (
 )
 from trolldetect.errors import TotalConflict
 
-from helpers import make_frame, random_mass, random_thread
+from helpers import make_frame, random_mass, random_thread, run_interpreter
 from oracles import (
     best_split,
     dense_conjunctive,
@@ -223,22 +219,11 @@ def test_criterion_8_robustness_sweep():
     finish(8, f"unpinned sweep identifies the troll in {hits}/100 runs", failures)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def _run_cli(args, cwd):
-    # The child runs in ``cwd``, where a relative PYTHONPATH entry would
-    # no longer resolve; hand it the package source by absolute path.
-    pythonpath = [str(SRC)] + [
-        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    return subprocess.run(
-        [sys.executable, "-m", "trolldetect", *args],
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
-        capture_output=True,
-        timeout=60,
-    )
+    # The child runs in ``cwd``, where a relative PYTHONPATH entry would no
+    # longer resolve; run_interpreter hands it the package source by
+    # absolute path.
+    return run_interpreter(["-m", "trolldetect", *args], cwd=cwd, capture_output=True)
 
 
 def test_criterion_9_cli_golden(tmp_path):

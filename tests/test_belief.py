@@ -151,6 +151,29 @@ class TestMassFunction:
         with pytest.raises(DuplicateSubset):
             MassFunction(AB, [(A, 0.5), (A, 0.5)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(OMEGA, 0.4), (B, 0.35), (A, 0.25)],
+            [(A, 0.25), (OMEGA, 0.4), (B, 0.35)],
+            {B: 0.35, OMEGA: 0.4, A: 0.25},
+        ],
+        ids=["descending", "mixed", "mapping"],
+    )
+    def test_subsets_stored_ascending_whatever_their_order(self, pairs):
+        m = MassFunction(AB, pairs)
+        assert m.focal_sets() == (A, B, OMEGA)
+        assert list(m.items()) == [(A, 0.25), (B, 0.35), (OMEGA, 0.4)]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(A, 0.5), (OMEGA, 0.25), (OMEGA, 0.25)], [(OMEGA, 0.5), (A, 0.25), (A, 0.25)]],
+        ids=["largest-repeated", "after-a-descent"],
+    )
+    def test_duplicate_subset_rejected_in_any_order(self, pairs):
+        with pytest.raises(DuplicateSubset, match=r"^subset 0b\d+ assigned twice$"):
+            MassFunction(AB, pairs)
+
     def test_zero_masses_dropped(self):
         m = MassFunction(AB, [(A, 0.0), (OMEGA, 1.0)])
         assert m.focal_sets() == (OMEGA,)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import random
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -18,12 +21,13 @@ from trolldetect import (
     thread_from_dict,
     thread_to_dict,
     thread_to_json,
+    __version__,
 )
 from trolldetect.cli import main
 from trolldetect.errors import BeliefError
 from trolldetect.simulate import BUILTIN_SCENARIOS, example1
 
-from helpers import json_documents, run_python, spec_to_dict
+from helpers import json_documents, random_mass, run_interpreter, run_python, spec_to_dict
 
 
 @pytest.fixture
@@ -473,6 +477,122 @@ def test_commands_call_the_names_bound_on_the_cli_module(monkeypatch, runner, tm
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
     assert called == names
+
+
+class TestConsoleEntry:
+    """``python -m trolldetect`` runs ``cli.run``, which leaves by ``os._exit``
+    once the exit handlers ran and stdout and stderr are flushed."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["detect", "--thread", "{file}"], 0),
+            (["detect", "--thread", "{missing}"], 1),
+            (["conflict", "--thread", "{file}", "--a", "1", "--b", "99"], 2),
+            (["detect", "--thread", "{flat}"], 3),
+        ],
+        ids=["ok", "io", "invalid", "degenerate"],
+    )
+    def test_exit_code_and_output_match_the_click_runner(
+        self, runner, example1_file, tmp_path, args, code
+    ):
+        flat = tmp_path / "flat.json"
+        write_degenerate_thread(flat)
+        args = [
+            a.format(file=example1_file, missing=tmp_path / "none.json", flat=flat)
+            for a in args
+        ]
+        expected = runner.invoke(main, args)
+        proc = run_interpreter(["-m", "trolldetect", *args], capture_output=True)
+        assert expected.exit_code == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code,
+            expected.stdout_bytes,
+            expected.stderr_bytes,
+        )
+
+    def test_output_past_64_kib_is_written_whole(self, runner, tmp_path):
+        # About 93 KiB of report, more than a 64 KiB pipe buffer holds.
+        rng = random.Random(16)
+        mf = MessageFrame(topic_count=3, relevant_topic=1)
+        users = tuple(f"user-{i:04d}-" + "x" * 60 for i in range(600))
+        messages = tuple(
+            Message(author=user, rank=rank, bba=random_mass(rng, mf.frame))
+            for rank, user in enumerate(users, start=1)
+        )
+        thread_path = tmp_path / "thread.json"
+        thread_path.write_text(thread_to_json(Thread(frame=mf, users=users, messages=messages)))
+        args = ["detect", "--thread", str(thread_path)]
+        out = tmp_path / "detect.out"
+        with out.open("wb") as fh:
+            proc = run_interpreter(
+                ["-m", "trolldetect", *args], env={"PYTHONUNBUFFERED": None}, stdout=fh
+            )
+        assert proc.returncode == 0
+        expected = runner.invoke(main, args).stdout_bytes
+        assert len(expected) > 64 * 1024
+        assert out.read_bytes() == expected
+
+    def test_registered_exit_handlers_run(self):
+        script = """
+import atexit, sys
+from trolldetect.cli import run
+atexit.register(print, "handler ran")
+sys.argv = ["trolldetect", "--version"]
+run()
+print("run returned")
+"""
+        # Buffered, so the handler's line is written only by the flush after it.
+        result = run_interpreter(
+            ["-c", script], env={"PYTHONUNBUFFERED": None}, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"trolldetect, version {__version__}", "handler ran"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+    def test_version_with_stdout_closed_exits_0(self):
+        # As ``trolldetect --version >&-``: the child starts with sys.stdout None.
+        proc = run_interpreter(
+            ["-m", "trolldetect", "--version"],
+            preexec_fn=lambda: os.close(1),
+            stderr=subprocess.PIPE,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [["--version"], ["detect", "--thread", "{file}"]],
+        ids=["version", "detect"],
+    )
+    def test_unwritable_stdout_exits_1_with_one_line(self, example1_file, args, unbuffered):
+        args = [a.format(file=example1_file) for a in args]
+        with open("/dev/full", "wb") as full:
+            proc = run_interpreter(
+                ["-m", "trolldetect", *args],
+                env={"PYTHONUNBUFFERED": unbuffered},
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write output: [Errno 28] "), line
+
+    def test_closed_pipe_exits_1_silently(self, example1_file):
+        # click's own EPIPE handling, unchanged.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_interpreter(
+                ["-m", "trolldetect", "detect", "--thread", str(example1_file)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestDetect:
