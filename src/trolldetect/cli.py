@@ -123,7 +123,7 @@ def simulate(scenario, spec_path, seed, out_path):
     try:
         _cli.write_json_atomic(_cli.thread_to_json(thread, meta), out_path)
     except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
+        _fail(EXIT_IO, f"cannot write {out_path}: {exc.strerror or exc}")
     click.echo(
         f"wrote {len(thread.messages)} messages by {len(thread.users)} users "
         f"to {out_path}"
@@ -169,7 +169,7 @@ def detect(thread_path, json_path):
         try:
             _cli.write_json_atomic(_cli._dumps(document), json_path)
         except OSError as exc:
-            _fail(EXIT_IO, f"cannot write {json_path}: {exc}")
+            _fail(EXIT_IO, f"cannot write {json_path}: {exc.strerror or exc}")
 
 
 @main.command("conflict")

@@ -156,14 +156,16 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     from those arrays on the K distinct focal sets, runs while the rule of
     ``_VOCABULARY_RATIO`` holds; a generated thread takes it.  A thread of
     mostly distinct bbas is scored on the slot arrays themselves
-    (:func:`_slot_packing`).  Both take the mass difference before the
-    Jaccard-weighted quadratic form, so identical bbas give exactly 0.
-    Thread validation already guarantees a single frame.
+    (:func:`_slot_packing`).  Per pair, each returns only its two inclusion
+    counts and its half quadratic form Q, taking the mass difference before
+    the form, so identical bbas give exactly 0.  Thread validation already
+    guarantees a single frame.
 
     Rows are scored in tiles: a tile holds consecutive requested rows and
     scores them against every message before its last row at once, in
     column blocks, so that its per-pair temporaries stay within
-    ``_BLOCK_ENTRIES``.
+    ``_BLOCK_ENTRIES``.  Each block's conflict, (1 - nested) sqrt(Q) with
+    nested the larger count over |F_r| |F_c|, is assembled here.
     Each row is then reduced by numpy's pairwise sum over exactly its own
     entries (earlier messages by other authors), masked out of its tile: the
     same contiguous array in column order in any tile, so the same bits.
@@ -177,9 +179,9 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     masses = np.zeros(live.shape)
     masses[live] = [v for m in messages for _, v in m.bba.items()]
     vocabulary = sorted(set(sets))
-    packed, packing = _vocabulary_packing(vocabulary, masks, masses, live, sizes), "vocabulary"
+    packed, packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
     if packed is None:
-        packed, packing = _slot_packing(masks, masses, live, sizes), "slots"
+        packed, packing = _slot_packing(masks, masses, live), "slots"
     score, per_pair = packed
     budget = max(1, _BLOCK_ENTRIES // per_pair)  # pairs per tile
     roster = {user: k for k, user in enumerate(thread.users)}
@@ -199,13 +201,18 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
         values = np.empty((tile.size, columns))
         for start in range(0, columns, step):
             stop = min(columns, start + step)
-            values[:, start:stop] = score(tile, start, stop)
+            x_in_y, y_in_x, squared = score(tile, start, stop)
+            if (squared < -INTERNAL_TOLERANCE).any():
+                raise ArithmeticError("quadratic form went negative; inputs are corrupt")
+            nested = np.maximum(x_in_y, y_in_x) / (sizes[tile, None] * sizes[None, start:stop])
+            values[:, start:stop] = (1.0 - nested) * np.sqrt(np.maximum(squared, 0.0))
+            del x_in_y, y_in_x, squared, nested  # not held while the next block is scored
         # Each row's own entries: earlier messages by other authors.
         opposed = (np.arange(columns) < tile[:, None]) & (authors[:columns] != authors[tile, None])
         for row, mask in zip(values, opposed):
             own = row[mask]
             scores.append(float(own.sum()) / own.size if own.size else 0.0)
-        pairs += int(opposed.sum())
+            pairs += own.size
         first = last
     scoring = {
         "messages": len(messages),
@@ -217,20 +224,13 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     return scores, scoring
 
 
-def _conflict(nested, squared):
-    """Conflict from the nested share and the quadratic form of each pair."""
-    if (squared < -INTERNAL_TOLERANCE).any():
-        raise ArithmeticError("quadratic form went negative; inputs are corrupt")
-    return (1.0 - nested) * np.sqrt(np.maximum(squared, 0.0))
-
-
 def _jaccard(x, y):
     """Element-wise Jaccard similarity of two broadcastable mask arrays."""
     union = np.bitwise_count(x | y)
     return np.divide(np.bitwise_count(x & y), union, out=np.ones(union.shape), where=union > 0)
 
 
-def _vocabulary_packing(vocabulary, masks, masses, live, sizes):
+def _vocabulary_packing(vocabulary, masks, masses, live):
     """Tile scorer over a dense M x K mass matrix A on the thread's sorted
     distinct focal sets, with its cost per pair: K + 8 entries, its K mass
     differences and the eight pair-sized arrays scored alongside them.  None
@@ -245,7 +245,7 @@ def _vocabulary_packing(vocabulary, masks, masses, live, sizes):
     Q = 1/2 sum S_kl D_k D_l is then summed term by term in a fixed order,
     so every pair gets the same operations whatever its tile.  With F the
     0/1 focal indicator and N the inclusion matrix, the two inclusion counts
-    are the exact integer products (F N) F^T and F (F N)^T.
+    returned beside Q are the exact integer products (F N) F^T and F (F N)^T.
     """
     size, sets = len(vocabulary), np.array(vocabulary, dtype=np.int64)
     limit = _VOCABULARY_RATIO * masks.shape[1] ** 2
@@ -270,20 +270,16 @@ def _vocabulary_packing(vocabulary, masks, masses, live, sizes):
             np.multiply(delta[k], delta[l], out=term)
             term *= weight
             squared += term
-        x_in_y = reach[rows] @ focal[start:stop].T
-        y_in_x = focal[rows] @ reach[start:stop].T
-        nested = np.maximum(x_in_y, y_in_x) / (sizes[rows, None] * sizes[None, start:stop])
-        return _conflict(nested, squared)
+        return reach[rows] @ focal[start:stop].T, focal[rows] @ reach[start:stop].T, squared
 
     return score, size + 8
 
 
-def _slot_packing(masks, masses, live, sizes):
+def _slot_packing(masks, masses, live):
     """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
-    per pair, (2P)^2 entries (its Jaccard matrix).  Each pair is scored with
-    the arithmetic of :func:`~trolldetect.conflict.conflict` on the union of
-    its focal sets: a 2P x 2P Jaccard matrix and one quadratic form per
-    pair."""
+    per pair, (2P)^2 entries (its Jaccard matrix).  Each pair gets the two
+    inclusion counts over its live slot pairs and, on the union of its focal
+    sets, a 2P x 2P Jaccard matrix and one half quadratic form."""
     width = masks.shape[1]
 
     def score(rows, start, stop):
@@ -294,7 +290,6 @@ def _slot_packing(masks, masses, live, sizes):
         meet = x & y
         x_in_y = ((meet == x) & pairs).sum(axis=(2, 3))
         y_in_x = ((meet == y) & pairs).sum(axis=(2, 3))
-        nested = np.maximum(x_in_y, y_in_x) / (sizes[rows, None] * sizes[None, start:stop])
 
         # A focal set shared by both bbas keeps one entry, a - b.
         shared = (x == y) & pairs
@@ -311,6 +306,6 @@ def _slot_packing(masks, masses, live, sizes):
         ).reshape(-1, 2 * width)
         similarity = _jaccard(sets[:, :, None], sets[:, None, :])
         squared = 0.5 * np.einsum("ps,pst,pt->p", delta, similarity, delta)
-        return _conflict(nested, squared.reshape(shape[:2]))
+        return x_in_y, y_in_x, squared.reshape(shape[:2])
 
     return score, 4 * width * width

@@ -25,9 +25,16 @@ from trolldetect import (
 )
 from trolldetect.cli import main
 from trolldetect.errors import BeliefError
-from trolldetect.simulate import BUILTIN_SCENARIOS, example1
+from trolldetect.simulate import BUILTIN_SCENARIOS, example1, spec_from_dict
 
-from helpers import json_documents, random_mass, run_interpreter, run_python, spec_to_dict
+from helpers import (
+    json_documents,
+    random_mass,
+    run_interpreter,
+    run_python,
+    spec_documents,
+    spec_to_dict,
+)
 
 
 @pytest.fixture
@@ -268,20 +275,65 @@ class TestLoneSurrogateIds:
         assert not out.exists()
 
 
+# Each thread command, its arguments after the file, and its exit codes on a
+# valid thread: detect scores (0) or finds the scores too uniform to split
+# (3); conflict needs messages 1 and 2.
+THREAD_COMMANDS = {
+    "detect": ([], {0, 3}),
+    "conflict": (["--a", "1", "--b", "2"], {0}),
+}
+
+
+@pytest.mark.parametrize("command", THREAD_COMMANDS)
 @settings(max_examples=40, deadline=None)
 @given(json_documents)
-def test_any_json_document_exits_2_unless_it_is_a_thread(doc):
+def test_any_json_document_exits_2_unless_it_is_a_thread(command, doc):
+    args, valid = THREAD_COMMANDS[command]
     try:
-        thread_from_dict(doc)
-        expected = {0, 3}  # scored, or scores too uniform to split
+        thread = thread_from_dict(doc)
+        if command == "conflict":
+            thread.message(1), thread.message(2)  # RankOutOfBounds on a short thread
+        expected = valid
     except BeliefError:
         expected = {2}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "thread.json"
         path.write_text(json.dumps(doc))
-        result = CliRunner().invoke(main, ["detect", "--thread", str(path)])
+        result = CliRunner().invoke(main, [command, "--thread", str(path), *args])
     assert result.exit_code in expected, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_documents)
+def test_any_json_document_exits_2_unless_it_is_a_spec(doc):
+    try:
+        generate(spec_from_dict(doc))
+        expected = 0
+    except BeliefError:
+        expected = 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "spec.json", Path(tmp) / "thread.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--out", str(out)])
+        assert out.exists() == (expected == 0)
+    assert result.exit_code == expected, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scenario", "example1", "--out", "{out}"],
+     ["detect", "--thread", "{thread}", "--json", "{out}"]],
+    ids=["simulate", "detect"],
+)
+def test_unwritable_output_names_only_the_given_path(runner, example1_file, tmp_path, command):
+    # The write goes through a temp file beside the target; the error names
+    # the path the user gave and the reason, not that temp file.
+    out = tmp_path / "no" / "such" / "dir" / "o.json"
+    result = runner.invoke(main, [a.format(out=out, thread=example1_file) for a in command])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == f"error: cannot write {out}: No such file or directory"
 
 
 UNREADABLE_FILES = {

@@ -27,6 +27,7 @@ from trolldetect.errors import (
     SameUser,
     UnknownUser,
 )
+from trolldetect.simulate import example1, generate
 
 from helpers import random_mass, random_thread
 from oracles import (
@@ -467,6 +468,18 @@ class TestForcedPacking:
             assert [message_conflict(t, r) for r in range(1, 6)] == [0.0] * 5
             assert [user_conflict(t, u) for u in t.users] == [0.0] * 3
 
+    def test_negative_quadratic_form_is_refused(self, packing, monkeypatch):
+        # Off-diagonal similarities scaled by 10 leave the Jaccard matrix no
+        # longer positive semi-definite, so some pair's form goes negative.
+        jaccard_matrix = pipeline._jaccard
+
+        def scaled(x, y):
+            return np.where(x == y, 1.0, 10.0) * jaccard_matrix(x, y)
+
+        monkeypatch.setattr(pipeline, "_jaccard", scaled)
+        with pytest.raises(ArithmeticError, match="^quadratic form went negative; inputs are corrupt$"):
+            analyze(generate(example1()))
+
     def test_partial_column_blocks_match_default_tiles(self, packing, monkeypatch):
         # Budgets from 2 pairs up to the thread's length: a later row's
         # columns then split into blocks whose last one is cut short.
@@ -548,11 +561,7 @@ class TestVictimEffect:
                 ("E", expert),
             ]
             entries += [("V", victim_reply)] * reply_count
-            if reply_count == 0:
-                t = build(*entries)
-            else:
-                t = build(*entries)
-            scores.append(user_conflict(t, "V"))
+            scores.append(user_conflict(build(*entries), "V"))
         assert scores == sorted(scores)
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
