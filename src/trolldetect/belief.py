@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -136,7 +137,9 @@ class MassFunction:
     """A basic belief assignment: positive masses on subsets, summing to one.
 
     Only focal elements (strictly positive mass) are stored; zero-mass
-    entries are dropped at construction.  Instances are immutable.
+    entries are dropped at construction.  Instances are immutable.  The
+    focal sets are kept as one ascending tuple and their masses as a
+    parallel tuple: two small tuples take half the memory of a dict.
 
     ``assignments`` may be a mapping from subset masks to masses or an
     iterable of ``(subset, mass)`` pairs.  Validation raises
@@ -149,7 +152,7 @@ class MassFunction:
     :class:`SumNotOne`.
     """
 
-    __slots__ = ("_frame", "_masses")
+    __slots__ = ("_frame", "_sets", "_masses")
 
     def __init__(
         self,
@@ -159,9 +162,10 @@ class MassFunction:
         if type(assignments) is not list and isinstance(assignments, Mapping):
             assignments = assignments.items()
         full = frame._full
-        masses: dict[int, float] = {}
+        sets: list[int] = []
+        masses: list[float] = []
         largest = -1  # the largest subset so far: a larger one is new
-        ascending = True
+        seen: set[int] | None = None  # built once a subset arrives out of order
         for subset, mass in assignments:
             if type(subset) is not int or not 0 <= subset <= full:
                 frame.check_subset(subset)  # raises, or passes an int subclass
@@ -173,23 +177,28 @@ class MassFunction:
                 raise NegativeMass(f"mass {mass!r} on subset {subset:#b}")
             if subset > largest:
                 largest = subset
-            elif subset in masses:
-                raise DuplicateSubset(f"subset {subset:#b} assigned twice")
-            else:
-                ascending = False
-            masses[subset] = mass
+            elif seen is None:
+                seen = set(sets)
+            if seen is not None:
+                if subset in seen:
+                    raise DuplicateSubset(f"subset {subset:#b} assigned twice")
+                seen.add(subset)
+            sets.append(subset)
+            masses.append(mass)
         try:
-            total = math.fsum(masses.values())
+            total = math.fsum(masses)
         except OverflowError:  # finite masses whose sum leaves the float range
             raise SumNotOne("masses sum past the float range, expected 1") from None
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise SumNotOne(f"masses sum to {total!r}, expected 1")
-        if 0.0 in masses.values():  # -0.0 as well
-            masses = {s: m for s, m in masses.items() if m > 0.0}
         # Sorted storage gives every downstream loop a deterministic order;
-        # generated bbas and thread files already list subsets ascending.
+        # generated bbas and thread files already list subsets ascending.  A
+        # sum of one leaves at least one positive mass to unzip.
+        if seen is not None or 0.0 in masses:  # -0.0 as well
+            sets, masses = zip(*sorted((s, m) for s, m in zip(sets, masses) if m > 0.0))
         self._frame = frame
-        self._masses = masses if ascending else dict(sorted(masses.items()))
+        self._sets = tuple(sets)
+        self._masses = tuple(masses)
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -203,29 +212,39 @@ class MassFunction:
     def mass(self, subset: int) -> float:
         """Mass on a subset; zero for non-focal subsets."""
         self._frame.check_subset(subset)
-        return self._masses.get(subset, 0.0)
+        i = bisect_left(self._sets, subset)
+        if i < len(self._sets) and self._sets[i] == subset:
+            return self._masses[i]
+        return 0.0
 
     def focal_sets(self) -> tuple[int, ...]:
-        return tuple(self._masses)
+        """The focal sets, ascending."""
+        return self._sets
+
+    def masses(self) -> tuple[float, ...]:
+        """The focal sets' masses, in ``focal_sets()`` order."""
+        return self._masses
 
     def items(self) -> Iterator[tuple[int, float]]:
-        return iter(self._masses.items())
+        return zip(self._sets, self._masses)
 
     def to_dict(self) -> dict[int, float]:
-        return dict(self._masses)
+        return dict(zip(self._sets, self._masses))
 
     def __len__(self) -> int:
-        return len(self._masses)
+        return len(self._sets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
-        return self._frame == other._frame and self._masses == other._masses
+        return (self._frame, self._sets, self._masses) == (
+            other._frame, other._sets, other._masses
+        )
 
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{{{','.join(self._frame.members(s)) or '∅'}}}: {m:.6g}"
-            for s, m in self._masses.items()
+            for s, m in self.items()
         )
         return f"MassFunction({parts})"
 

@@ -146,15 +146,8 @@ def detect(thread_path, json_path):
     elapsed = time.perf_counter() - started
 
     summary = report.to_dict()
-    # One echo for the table: one per user took 17-25 ms at 5 000 users
-    # (2 vCPUs).
-    click.echo("\n".join([
-        "user conflict:",
-        *(f"  {user:<8s} {value:.12f}" for user, value in report.per_user.items()),
-        f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}",
-        f"others (center {report.other_center:.12f}): {' '.join(summary['others'])}",
-    ]))
-
+    # The report is written before the table is printed, so a failed write
+    # exits 1 with the error alone, not after a table that looks like success.
     if json_path is not None:
         document = {
             "meta": {
@@ -170,6 +163,14 @@ def detect(thread_path, json_path):
             _cli.write_json_atomic(_cli._dumps(document), json_path)
         except OSError as exc:
             _fail(EXIT_IO, f"cannot write {json_path}: {exc.strerror or exc}")
+    # One echo for the table: one per user took 17-25 ms at 5 000 users
+    # (2 vCPUs).
+    click.echo("\n".join([
+        "user conflict:",
+        *(f"  {user:<8s} {value:.12f}" for user, value in report.per_user.items()),
+        f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}",
+        f"others (center {report.other_center:.12f}): {' '.join(summary['others'])}",
+    ]))
 
 
 @main.command("conflict")

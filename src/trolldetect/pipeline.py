@@ -177,7 +177,7 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     masks = np.zeros(live.shape, dtype=np.int64)
     masks[live] = sets
     masses = np.zeros(live.shape)
-    masses[live] = [v for m in messages for _, v in m.bba.items()]
+    masses[live] = [v for m in messages for v in m.bba.masses()]
     vocabulary = sorted(set(sets))
     packed, packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
     if packed is None:

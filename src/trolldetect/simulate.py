@@ -50,7 +50,7 @@ CATEGORIES = frozenset({"relevant", "off_topic", "senseless", "controversy"})
 DEFAULT_CONCENTRATION = (0.75, 0.98)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptEntry:
     """One scripted post.  ``topic`` is required for (and only for) the
     controversy category."""

@@ -306,14 +306,13 @@ def thread_to_json(thread: Thread, meta: Any = None) -> str:
         author = authors.get(msg.author)
         if author is None:
             author = authors[msg.author] = json.dumps(msg.author)
-        masses = msg.bba.to_dict()
-        focal = tuple(masses)
+        focal = msg.bba.focal_sets()
         template = templates.get(focal)
         if template is None:
             sets = [json.dumps(list(frame.members(s))).replace("%", "%%") for s in focal]
             bba = ", ".join([f'{{"set": {labels}, "mass": %r}}' for labels in sets])
             template = templates[focal] = f'{{"rank": %d, "author": %s, "bba": [{bba}]}}'
-        lines.append(template % (msg.rank, author, *masses.values()))
+        lines.append(template % (msg.rank, author, *msg.bba.masses()))
     fields = [
         _field("topic_count", thread.frame.topic_count),
         _field("relevant_topic", thread.frame.relevant_topic),

@@ -10,6 +10,7 @@ import random
 import string
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from trolldetect import (
     ScenarioSpec,
     Thread,
     example1,
+    example2,
 )
 
 
@@ -272,10 +274,19 @@ def _near_threads(draw):
 
 
 @st.composite
+def _specs(draw):
+    """A built-in scenario's document with a drawn seed."""
+    spec = draw(st.sampled_from([example1(), example2()]))
+    return spec_to_dict(replace(spec, seed=draw(st.integers(0, 2**32))))
+
+
+@st.composite
 def _near_specs(draw):
-    return _swap_or_drop(draw, spec_to_dict(example1()))
+    return _swap_or_drop(draw, draw(_specs()))
 
 
-json_documents = json_values | _near_threads()
+# The unmutated documents keep a share of the draws valid, so the tests
+# that take these also reach the paths a valid document takes.
+json_documents = json_values | _near_threads() | _threads()
 # Scenario documents for ``spec_from_dict``, built the same way.
-spec_documents = json_values | _near_specs()
+spec_documents = json_values | _near_specs() | _specs()

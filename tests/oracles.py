@@ -9,8 +9,18 @@ tolerances.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 
 import numpy as np
+
+from trolldetect.belief import MASS_SUM_TOLERANCE
+from trolldetect.errors import (
+    DuplicateSubset,
+    NegativeMass,
+    NonFiniteMass,
+    SumNotOne,
+)
 
 
 def mask_members(mask: int, labels: tuple[str, ...]) -> frozenset[str]:
@@ -20,6 +30,44 @@ def mask_members(mask: int, labels: tuple[str, ...]) -> frozenset[str]:
 def dense_vector(m) -> list[float]:
     """Mass on every subset of the frame, empty set through full set."""
     return [m.mass(s) for s in m.frame.subsets()]
+
+
+# ---------------------------------------------------------------------------
+# the MassFunction constructor on a dict
+# ---------------------------------------------------------------------------
+
+def reference_bba(frame, assignments) -> dict[int, float]:
+    """The focal sets and masses ``MassFunction(frame, assignments)`` keeps,
+    as a dict in ascending subset order, or the error it raises with the
+    same text.  Each check runs in the constructor's order, on a plain dict
+    that detects duplicates by lookup, with no sorted-input fast path."""
+    if type(assignments) is not list and isinstance(assignments, Mapping):
+        assignments = assignments.items()
+    masses: dict[int, float] = {}
+    for subset, mass in assignments:
+        frame.check_subset(subset)
+        if isinstance(mass, bool) or not isinstance(mass, numbers.Real):
+            raise NonFiniteMass(
+                f"mass on subset {subset:#b} is a {type(mass).__name__}, not a real number"
+            )
+        try:
+            mass = float(mass)
+        except OverflowError:
+            raise NonFiniteMass(f"mass on subset {subset:#b} is past the float range") from None
+        if not math.isfinite(mass):
+            raise NonFiniteMass(f"mass {mass!r} on subset {subset:#b}")
+        if mass < 0.0:
+            raise NegativeMass(f"mass {mass!r} on subset {subset:#b}")
+        if subset in masses:
+            raise DuplicateSubset(f"subset {subset:#b} assigned twice")
+        masses[subset] = mass
+    try:
+        total = math.fsum(masses.values())
+    except OverflowError:
+        raise SumNotOne("masses sum past the float range, expected 1") from None
+    if abs(total - 1.0) > MASS_SUM_TOLERANCE:
+        raise SumNotOne(f"masses sum to {total!r}, expected 1")
+    return {s: m for s, m in sorted(masses.items()) if m > 0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trolldetect import (
     Frame,
@@ -26,13 +28,14 @@ from trolldetect.errors import (
     TotalConflict,
 )
 
-from helpers import make_frame, mass_pairs, mass_triples, random_mass
+from helpers import Mask, make_frame, mass_pairs, mass_triples, random_mass
 from oracles import (
     dense_conjunctive,
     dense_dempster,
     dense_disjunctive,
     dense_vector,
     mask_members,
+    reference_bba,
     set_jaccard,
 )
 
@@ -187,6 +190,67 @@ class TestMassFunction:
         assert m.to_dict() == {OMEGA: 1.0}
         single = Frame(["a"])
         assert MassFunction.vacuous(single).to_dict() == {1: 1.0}
+
+
+class Count(int):
+    """A mass of an ``int`` subclass."""
+
+
+# Masks of AB: each valid one, as an int, an int subclass or a bool; and
+# masks out of range or not an int.
+_RAW_MASKS = st.sampled_from([0, A, B, OMEGA, Mask(B), Mask(OMEGA), True, False])
+_BAD_MASKS = st.sampled_from([-1, 4, 2**70, 1.0])
+_PART_MASSES = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5])
+_ODD_MASSES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, 0, 1, Count(1), -0.5, 10**400, "0.5",
+     Fraction(1, 2), 1e308]
+)
+# Offsets from a sum of one, each side of MASS_SUM_TOLERANCE.
+_SUM_OFFSETS = st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.1e-9, -1.1e-9, 2e-9])
+
+
+@st.composite
+def raw_assignments(draw):
+    """Pairs for ``MassFunction(AB, ...)`` near a valid bba, in any order
+    and with repeated subsets, or a dict of them: part masses, often topped
+    up to a sum of one within an offset, sometimes with one mass swapped
+    for a non-float or non-finite value and one mask for a bad one."""
+    masks = draw(st.lists(_RAW_MASKS, max_size=4))
+    masses = [draw(_PART_MASSES) for _ in masks]
+    if draw(st.integers(0, 3)):
+        masks.append(draw(_RAW_MASKS))
+        masses.append(1.0 - math.fsum(masses) + draw(_SUM_OFFSETS))
+    if masses and not draw(st.integers(0, 3)):
+        masses[draw(st.integers(0, len(masses) - 1))] = draw(_ODD_MASSES)
+    if masks and not draw(st.integers(0, 3)):
+        masks[draw(st.integers(0, len(masks) - 1))] = draw(_BAD_MASKS)
+    pairs = list(zip(masks, masses))
+    return dict(pairs) if draw(st.booleans()) else pairs
+
+
+def _outcome(build):
+    """``(focal sets, masses)`` of what ``build()`` returns, or the type and
+    text of what it raises."""
+    try:
+        stored = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(stored, dict):
+        return tuple(stored), tuple(stored.values())
+    return stored.focal_sets(), stored.masses()
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw_assignments())
+def test_constructor_matches_the_dict_reference(assignments):
+    expected = _outcome(lambda: reference_bba(AB, assignments))
+    assert _outcome(lambda: MassFunction(AB, assignments)) == expected
+    if isinstance(expected[0], tuple):  # built: every read agrees with the dict
+        m = MassFunction(AB, assignments)
+        reference = dict(zip(*expected))
+        assert m.to_dict() == reference
+        assert list(m.items()) == list(reference.items())
+        assert [m.mass(s) for s in AB.subsets()] == [reference.get(s, 0.0) for s in AB.subsets()]
 
 
 # the worked two-source example used throughout: four focal pairs,

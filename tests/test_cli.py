@@ -329,11 +329,13 @@ def test_any_json_document_exits_2_unless_it_is_a_spec(doc):
 )
 def test_unwritable_output_names_only_the_given_path(runner, example1_file, tmp_path, command):
     # The write goes through a temp file beside the target; the error names
-    # the path the user gave and the reason, not that temp file.
+    # the path the user gave and the reason, not that temp file.  It is the
+    # whole output: detect prints no table (no "user conflict:" line) before
+    # a failed report write, which would read as a success.
     out = tmp_path / "no" / "such" / "dir" / "o.json"
     result = runner.invoke(main, [a.format(out=out, thread=example1_file) for a in command])
     assert result.exit_code == 1
-    assert result.output.splitlines()[-1] == f"error: cannot write {out}: No such file or directory"
+    assert result.output.splitlines() == [f"error: cannot write {out}: No such file or directory"]
 
 
 UNREADABLE_FILES = {
