@@ -133,14 +133,15 @@ def analyze(thread: Thread) -> ConflictReport:
 # ``_score_rows``; each packing reports what one pair costs.
 _BLOCK_ENTRIES = 1 << 16
 
-# The vocabulary packing runs while (K + T) K <= _VOCABULARY_RATIO P^2, with
-# T the non-zeros of the upper Jaccard triangle (the terms of the form) and P
-# the largest focal count.  Timed with each packing forced on threads with K
-# from 4 to 127 and P from 2 to 20, the vocabulary packing's time per pair
-# grew about as (K + T) K and the slot packing's as P^2; the vocabulary
-# packing was as fast or faster on every thread up to 788 P^2 and slower on
-# every one from 1 120 P^2.
-_VOCABULARY_RATIO = 1024
+# The vocabulary packing runs while K^2 <= _VOCABULARY_RATIO P^2, with K the
+# distinct focal sets and P the largest focal count.  Timed with each packing
+# forced on threads with K from 8 to 512, P from 1 to 40 and M of 140, 300 and
+# 600, the vocabulary packing was as fast or faster on every thread up to
+# K^2 = 1 024 P^2 and slower on every one from 16 384 P^2.  128 admits every
+# generated thread (K <= 17 at P = 2) and keeps the K x K arrays within 32 of
+# the slot packing's per-pair 2P x 2P Jaccard matrices, so a thread of 512
+# sets in bbas of 40 takes the slots (K x K alone would be 2 MiB).
+_VOCABULARY_RATIO = 128
 
 
 def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict[str, Any]]:
@@ -154,11 +155,12 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     focal count, which tells a genuine empty focal set (mask 0) from
     padding.  The vocabulary packing (:func:`_vocabulary_packing`), derived
     from those arrays on the K distinct focal sets, runs while the rule of
-    ``_VOCABULARY_RATIO`` holds; a generated thread takes it.  A thread of
-    mostly distinct bbas is scored on the slot arrays themselves
-    (:func:`_slot_packing`).  Per pair, each returns only its two inclusion
-    counts and its half quadratic form Q, taking the mass difference before
-    the form, so identical bbas give exactly 0.  Thread validation already
+    ``_VOCABULARY_RATIO``, read from K and P alone, holds; a generated
+    thread takes it.  A thread of mostly distinct bbas is scored on the slot
+    arrays themselves (:func:`_slot_packing`).  Per pair, each returns only
+    its two inclusion counts and its half quadratic form Q >= 0, taking the
+    mass difference first, so identical bbas give exactly 0; each refuses a
+    corrupt input whose form would go negative.  Thread validation already
     guarantees a single frame.
 
     Rows are scored in tiles: a tile holds consecutive requested rows and
@@ -179,10 +181,10 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     masses = np.zeros(live.shape)
     masses[live] = [v for m in messages for v in m.bba.masses()]
     vocabulary = sorted(set(sets))
-    packed, packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
-    if packed is None:
-        packed, packing = _slot_packing(masks, masses, live), "slots"
-    score, per_pair = packed
+    if len(vocabulary) ** 2 <= _VOCABULARY_RATIO * sizes.max() ** 2:
+        (score, per_pair), packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
+    else:
+        (score, per_pair), packing = _slot_packing(masks, masses, live), "slots"
     budget = max(1, _BLOCK_ENTRIES // per_pair)  # pairs per tile
     roster = {user: k for k, user in enumerate(thread.users)}
     authors = np.array([roster[m.author] for m in messages])
@@ -202,10 +204,8 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
         for start in range(0, columns, step):
             stop = min(columns, start + step)
             x_in_y, y_in_x, squared = score(tile, start, stop)
-            if (squared < -INTERNAL_TOLERANCE).any():
-                raise ArithmeticError("quadratic form went negative; inputs are corrupt")
             nested = np.maximum(x_in_y, y_in_x) / (sizes[tile, None] * sizes[None, start:stop])
-            values[:, start:stop] = (1.0 - nested) * np.sqrt(np.maximum(squared, 0.0))
+            values[:, start:stop] = (1.0 - nested) * np.sqrt(squared)
             del x_in_y, y_in_x, squared, nested  # not held while the next block is scored
         # Each row's own entries: earlier messages by other authors.
         opposed = (np.arange(columns) < tile[:, None]) & (authors[:columns] != authors[tile, None])
@@ -231,55 +231,51 @@ def _jaccard(x, y):
 
 
 def _vocabulary_packing(vocabulary, masks, masses, live):
-    """Tile scorer over a dense M x K mass matrix A on the thread's sorted
-    distinct focal sets, with its cost per pair: K + 8 entries, its K mass
-    differences and the eight pair-sized arrays scored alongside them.  None
-    when the slot packing is cheaper (see ``_VOCABULARY_RATIO``).
+    """Tile scorer over per-message embeddings on the thread's K sorted
+    distinct focal sets, with its cost per pair: 8 pair-sized arrays.
 
-    One pass over the rows of the upper triangle of the K x K Jaccard matrix
-    S collects its non-zeros, the terms of the form (the empty set's
-    similarity with itself is 1, as every set's), and returns None before
-    it turns the row that breaks the rule into terms.  The slot masses are
-    then scattered into A by their sets' places in the vocabulary.  For a
-    tile, the differences D = A[rows] - A[columns] come first; the form
-    Q = 1/2 sum S_kl D_k D_l is then summed term by term in a fixed order,
-    so every pair gets the same operations whatever its tile.  With F the
-    0/1 focal indicator and N the inclusion matrix, the two inclusion counts
-    returned beside Q are the exact integer products (F N) F^T and F (F N)^T.
+    The K x K Jaccard matrix S is positive semi-definite (what makes
+    Jousselme's distance a metric): one ``eigh``, eigenvalues clipped at 0,
+    gives S/2 = R R^T.  Each message's masses a on the vocabulary are embedded
+    once as b = R^T a, and a pair's half form 1/2 D^T S D, D = a_r - a_c, is
+    the sum of the squares of b_r - b_c.  Both sums run element-wise over k
+    in a fixed order, so equal bbas get equal bits, identical bbas exactly
+    0, and a pair the same bits in any tile.  With F the 0/1 focal indicator
+    and N the inclusion matrix, the two inclusion counts are the exact
+    integer products (F N) F^T and F (F N)^T.
     """
-    size, sets = len(vocabulary), np.array(vocabulary, dtype=np.int64)
-    limit = _VOCABULARY_RATIO * masks.shape[1] ** 2
-    terms = []
-    for k, s in enumerate(vocabulary):
-        row = _jaccard(s, sets[k:])
-        found = np.flatnonzero(row).tolist()
-        if (size + len(terms) + len(found)) * size > limit:
-            return None
-        terms += [(k, k + j, 0.5 if j == 0 else float(row[j])) for j in found]
+    sets = np.array(vocabulary, dtype=np.int64)
+    eigenvalues, vectors = np.linalg.eigh(_jaccard(sets[:, None], sets[None, :]))
+    if eigenvalues[0] < -INTERNAL_TOLERANCE:
+        raise ArithmeticError("quadratic form went negative; inputs are corrupt")
+    root = vectors * np.sqrt(np.maximum(eigenvalues, 0.0) / 2.0)  # R, one row per focal set
 
-    matrix = np.zeros((size, len(masks)))  # A^T, one row per focal set
+    matrix = np.zeros((sets.size, len(masks)))  # A^T, one row per focal set
     matrix[np.searchsorted(sets, masks[live]), live.nonzero()[0]] = masses[live]
+    embedded = np.zeros(matrix.shape)  # B = R^T A^T, one row per dimension
+    for k, row in enumerate(matrix):
+        embedded += root[k, :, None] * row
     focal = (matrix.T > 0.0).astype(float)
     reach = focal @ ((sets[:, None] & sets[None, :]) == sets[:, None])  # F N: own sets inside each set
 
     def score(rows, start, stop):
-        delta = matrix[:, rows, None] - matrix[:, None, start:stop]
-        squared = np.zeros(delta.shape[1:])
-        term = np.empty(delta.shape[1:])
-        for k, l, weight in terms:
-            np.multiply(delta[k], delta[l], out=term)
-            term *= weight
+        squared = np.zeros((rows.size, stop - start))
+        term = np.empty(squared.shape)
+        for b in embedded:
+            np.subtract(b[rows, None], b[None, start:stop], out=term)
+            term *= term
             squared += term
         return reach[rows] @ focal[start:stop].T, focal[rows] @ reach[start:stop].T, squared
 
-    return score, size + 8
+    return score, 8
 
 
 def _slot_packing(masks, masses, live):
     """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
     per pair, (2P)^2 entries (its Jaccard matrix).  Each pair gets the two
     inclusion counts over its live slot pairs and, on the union of its focal
-    sets, a 2P x 2P Jaccard matrix and one half quadratic form."""
+    sets, a 2P x 2P Jaccard matrix and one half quadratic form, clipped at 0
+    once no form is below -``INTERNAL_TOLERANCE`` (a corrupt input)."""
     width = masks.shape[1]
 
     def score(rows, start, stop):
@@ -306,6 +302,8 @@ def _slot_packing(masks, masses, live):
         ).reshape(-1, 2 * width)
         similarity = _jaccard(sets[:, :, None], sets[:, None, :])
         squared = 0.5 * np.einsum("ps,pst,pt->p", delta, similarity, delta)
-        return x_in_y, y_in_x, squared.reshape(shape[:2])
+        if (squared < -INTERNAL_TOLERANCE).any():
+            raise ArithmeticError("quadratic form went negative; inputs are corrupt")
+        return x_in_y, y_in_x, np.maximum(squared, 0.0).reshape(shape[:2])
 
     return score, 4 * width * width

@@ -4,6 +4,7 @@ runners."""
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import random
@@ -213,7 +214,7 @@ json_values = st.recursive(
 )
 
 _LABELS = st.sampled_from(["Off-topic", "Senseless", "Topic_1", "Topic_2"])
-_USERS = st.sampled_from(["U1", "U2", "U3"])
+_USERS = st.sampled_from(["U1", "U2", "U3", "U4", "U5", "U6"])
 _PAIRED = st.sampled_from([0.25, 0.75, 1e308])  # two masses of 1e308 overflow a sum
 _MASSES = st.sampled_from([0.0, -0.5, 1e308, 10**400]) | st.floats()
 _BBAS = st.one_of(
@@ -232,16 +233,23 @@ _BBAS = st.one_of(
 @st.composite
 def _threads(draw):
     """A thread document with ranks 1..M and every user posting, whose
-    masses, labels and frame need not agree."""
-    users = draw(st.lists(_USERS, min_size=2, max_size=3, unique=True))
-    count = draw(st.integers(len(users), 4))
+    masses, labels and frame need not agree: from 2 messages by 2 users up
+    to 12 by 6.  Each message posts a copy of one of a few drawn bbas, so a
+    long thread is about as likely to be valid as a short one.  Two of them
+    are certain on distinct labels, which disagree, and authors after each
+    user's first post are drawn, so most valid threads have users' scores
+    to split and reach a report."""
+    users = draw(st.lists(_USERS, min_size=2, max_size=6, unique=True))
+    authors = users + draw(st.lists(st.sampled_from(users), max_size=12 - len(users)))
+    labels = draw(st.lists(_LABELS, min_size=2, max_size=2, unique=True))
+    bbas = [[{"set": [label], "mass": 1.0}] for label in labels] + draw(st.lists(_BBAS, max_size=2))
     return {
         "topic_count": draw(st.integers(2, 3)),
         "relevant_topic": draw(st.integers(1, 2)),
         "users": users,
         "messages": [
-            {"rank": rank, "author": users[rank % len(users)], "bba": draw(_BBAS)}
-            for rank in range(1, count + 1)
+            {"rank": rank, "author": author, "bba": copy.deepcopy(draw(st.sampled_from(bbas)))}
+            for rank, author in enumerate(authors, start=1)
         ],
     }
 

@@ -15,7 +15,6 @@ from trolldetect import (
     Thread,
     analyze,
     conflict,
-    jaccard,
     message_conflict,
     message_conflict_per_user,
     user_conflict,
@@ -518,11 +517,50 @@ class TestForcedPacking:
         assert pipeline._score_rows(t, ranks)[0] == default
 
 
+def test_nearly_singular_jaccard_matrix_on_the_vocabulary_packing(monkeypatch):
+    # The 256 focal sets of a 16-hypothesis frame that hold its top 8
+    # hypotheses differ in few hypotheses each: their Jaccard matrix has a
+    # condition number near 1e9, the hardest case for the eigendecomposition
+    # that embeds each message.  Rank 1 spreads its mass over all of them,
+    # and every third bba repeats an earlier one.
+    monkeypatch.setattr(pipeline, "_VOCABULARY_RATIO", math.inf)
+    frame = MessageFrame(topic_count=14, relevant_topic=1)
+    sets = [0xFF00 | free for free in range(256)]
+    spread = MassFunction(frame.frame, [(s, 1 / 256) for s in sets])
+    rng = random.Random(36)
+    bbas = [spread]
+    for rank in range(2, 25):
+        if rank % 3 == 0:
+            bbas.append(rng.choice(bbas))
+            continue
+        subsets = rng.sample(sets, 12)
+        weights = [rng.uniform(0.05, 1.0) for _ in subsets]
+        total = fsum(weights)
+        bbas.append(MassFunction(frame.frame, [(s, w / total) for s, w in zip(subsets, weights)]))
+    users = ("A", "B", "C", "D")
+    masks = np.array(sets)
+    assert np.linalg.eigvalsh(pipeline._jaccard(masks[:, None], masks[None, :]))[0] < 1e-6
+
+    for posted in (bbas, [spread] * 6):
+        t = Thread(frame=frame, users=users, messages=tuple(
+            Message(author=users[k % 4], rank=k + 1, bba=bba) for k, bba in enumerate(posted)
+        ))
+        ranks = range(1, len(posted) + 1)
+        default, scoring = pipeline._score_rows(t, ranks)
+        assert (scoring["vocabulary"], scoring["packing"]) == (256, "vocabulary")
+        for rank, got in enumerate(default, start=1):
+            assert got == pytest.approx(scalar_flat_mean(t, rank), abs=1e-12)
+        with monkeypatch.context() as tiny:
+            tiny.setattr(pipeline, "_BLOCK_ENTRIES", 1)
+            assert pipeline._score_rows(t, ranks)[0] == default
+    assert default == [0.0] * 6  # the repeated bba against itself
+
+
 def pair_cost(thread, scoring):
     """Entries one pair's temporaries take under the packing that scored
     ``thread``, as each packer reports it."""
     if scoring["packing"] == "vocabulary":
-        return scoring["vocabulary"] + 8
+        return 8
     width = max(len(m.bba) for m in thread.messages)
     return 4 * width * width
 
@@ -531,17 +569,15 @@ class TestPackingRule:
     @pytest.mark.parametrize("empty", [True, False], ids=["empty-set", "no-empty-set"])
     def test_rule_holds_at_its_boundary(self, empty, monkeypatch):
         # Certain bbas make P = 1, so the limit is _VOCABULARY_RATIO itself:
-        # the vocabulary packing runs at ratio (K + T) K and not one below.
-        # The empty set counts one term, its similarity with itself.
+        # the vocabulary packing runs at ratio K^2 and not one below.  The
+        # empty set counts in K like any other focal set.
         subsets = [T1, T2, T1 | T2, MF.frame.full_set, T2] + ([0] if empty else [])
         t = build(*((f"U{k % 3}", certain(s)) for k, s in enumerate(subsets)))
-        distinct = sorted(set(subsets))
-        terms = sum(jaccard(a, b) > 0 for k, a in enumerate(distinct) for b in distinct[k:])
-        rule = (len(distinct) + terms) * len(distinct)
-        for ratio, expected in ((rule, "vocabulary"), (rule - 1, "slots")):
+        size = len(set(subsets))
+        for ratio, expected in ((size * size, "vocabulary"), (size * size - 1, "slots")):
             monkeypatch.setattr(pipeline, "_VOCABULARY_RATIO", ratio)
             _, scoring = pipeline._score_rows(t, range(1, len(subsets) + 1))
-            assert (scoring["vocabulary"], scoring["packing"]) == (len(distinct), expected)
+            assert (scoring["vocabulary"], scoring["packing"]) == (size, expected)
 
 
 class TestVictimEffect:
