@@ -139,7 +139,7 @@ _BLOCK_ENTRIES = 1 << 16
 # 600, the vocabulary packing was as fast or faster on every thread up to
 # K^2 = 1 024 P^2 and slower on every one from 16 384 P^2.  128 admits every
 # generated thread (K <= 17 at P = 2) and keeps the K x K arrays within 32 of
-# the slot packing's per-pair 2P x 2P Jaccard matrices, so a thread of 512
+# the slot packing's per-pair cost of (2P)^2 entries, so a thread of 512
 # sets in bbas of 40 takes the slots (K x K alone would be 2 MiB).
 _VOCABULARY_RATIO = 128
 
@@ -272,10 +272,13 @@ def _vocabulary_packing(vocabulary, masks, masses, live):
 
 def _slot_packing(masks, masses, live):
     """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
-    per pair, (2P)^2 entries (its Jaccard matrix).  Each pair gets the two
-    inclusion counts over its live slot pairs and, on the union of its focal
-    sets, a 2P x 2P Jaccard matrix and one half quadratic form, clipped at 0
-    once no form is below -``INTERNAL_TOLERANCE`` (a corrupt input)."""
+    per pair, (2P)^2 entries: a bound on the pair's P x P temporaries (cross
+    Jaccard block, inclusion tests) and its share of the row's and the
+    column's own P x P Jaccard blocks.  Each pair gets the two inclusion
+    counts over its live slot pairs and one half form 1/2 D^T S D, with D the
+    row's slots then the column's: half of each own block's form plus the
+    cross block's, each an unoptimised einsum, so the same bits in any tile;
+    clipped at 0 once none is below -``INTERNAL_TOLERANCE`` (corrupt input)."""
     width = masks.shape[1]
 
     def score(rows, start, stop):
@@ -287,23 +290,16 @@ def _slot_packing(masks, masses, live):
         x_in_y = ((meet == x) & pairs).sum(axis=(2, 3))
         y_in_x = ((meet == y) & pairs).sum(axis=(2, 3))
 
-        # A focal set shared by both bbas keeps one entry, a - b.
+        # A focal set shared by both bbas keeps one entry, a - b, in the row's slot.
         shared = (x == y) & pairs
-        shape = (rows.size, stop - start, width)
-        delta = np.concatenate(
-            [a - (shared * b[:, :, None, :]).sum(axis=3),
-             np.where(shared.any(axis=2), 0.0, -b)],
-            axis=2,
-        ).reshape(-1, 2 * width)
-        sets = np.concatenate(
-            [np.broadcast_to(masks[rows, None], shape),
-             np.broadcast_to(masks[None, start:stop], shape)],
-            axis=2,
-        ).reshape(-1, 2 * width)
-        similarity = _jaccard(sets[:, :, None], sets[:, None, :])
-        squared = 0.5 * np.einsum("ps,pst,pt->p", delta, similarity, delta)
+        dx = a - (shared * b[:, :, None, :]).sum(axis=3)
+        dy = np.where(shared.any(axis=2), 0.0, -b)
+        sx, sy = (_jaccard(m[:, :, None], m[:, None]) for m in (masks[rows], masks[start:stop]))
+        squared = 0.5 * (
+            np.einsum("rcs,rst,rct->rc", dx, sx, dx) + np.einsum("rcs,cst,rct->rc", dy, sy, dy)
+        ) + np.einsum("rcs,rcst,rct->rc", dx, _jaccard(x, y), dy)
         if (squared < -INTERNAL_TOLERANCE).any():
             raise ArithmeticError("quadratic form went negative; inputs are corrupt")
-        return x_in_y, y_in_x, np.maximum(squared, 0.0).reshape(shape[:2])
+        return x_in_y, y_in_x, np.maximum(squared, 0.0)
 
     return score, 4 * width * width

@@ -70,21 +70,23 @@ def _nogc(fn):
 
 
 def _check_roster(users: tuple, authors: list) -> None:
-    """The roster rules a thread and a scenario share: string ids that
-    UTF-8 can encode (the CLI prints them), at least two users (conflict is
-    measured against *other* users), no duplicate ids, every author on the
-    roster, and every user posts.  ``authors`` lists each post's author in
-    order.  Raises ``InvalidThread``."""
+    """The roster rules a thread and a scenario share: string ids with no
+    control character, lone surrogate or line or paragraph separator
+    (categories Cc, Cs, Zl, Zp), which could forge or break a printed line;
+    at least two users (conflict is measured against *other* users), no
+    duplicate ids, every author on the roster, and every user posts.
+    ``authors`` lists each post's author in order.  Raises ``InvalidThread``."""
     for uid in users:
         if not isinstance(uid, str):
             raise InvalidThread(f"user ids must be strings, got {uid!r}")
-        if not uid.isascii():
-            try:
-                uid.encode("utf-8")
-            except UnicodeEncodeError:
+        if not uid.isprintable():  # a printable id holds none of the four
+            from unicodedata import category  # loaded only for such an id
+
+            if not {"Cc", "Cs", "Zl", "Zp"}.isdisjoint(map(category, uid)):
                 raise InvalidThread(
-                    f"user id {uid!r} holds a lone surrogate, which UTF-8 cannot encode"
-                ) from None
+                    f"user id {uid!r} holds a control character, lone surrogate"
+                    " or line or paragraph separator, which no command can print"
+                )
     if len(users) < 2:
         raise InvalidThread("the roster needs at least two users")
     roster = set(users)

@@ -235,7 +235,11 @@ class TestSimulate:
         assert result.exit_code == 1
 
 
-LONE_SURROGATE_ERROR = "user id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"
+UNPRINTABLE_ID_ERROR = (
+    "user id {!r} holds a control character, lone surrogate or line or paragraph"
+    " separator, which no command can print"
+)
+LONE_SURROGATE_ERROR = UNPRINTABLE_ID_ERROR.format("\ud800")
 
 
 class TestLoneSurrogateIds:
@@ -273,6 +277,33 @@ class TestLoneSurrogateIds:
             f"error: {spec_path} is not a valid scenario: {LONE_SURROGATE_ERROR}\n"
         )
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "uid",
+    ["U4\ntrolls (center 0.000000000000): U1", "U4\x1b[2K"],  # a forged table line, an ANSI erase
+    ids=["newline", "escape"],
+)
+def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid):
+    spec = spec_to_dict(example1())
+    document = thread_to_dict(generate(example1()))
+    for entry in spec["users"]:
+        entry["id"] = uid if entry["id"] == "U4" else entry["id"]
+    for entry in spec["script"] + document["messages"]:
+        entry["author"] = uid if entry["author"] == "U4" else entry["author"]
+    document["users"] = [uid if u == "U4" else u for u in document["users"]]
+    thread_path, spec_path, out = tmp_path / "t.json", tmp_path / "s.json", tmp_path / "o.json"
+    thread_path.write_text(json.dumps(document))
+    spec_path.write_text(json.dumps(spec))
+    for args, kind in (
+        (["detect", "--thread", str(thread_path)], "thread"),
+        (["conflict", "--thread", str(thread_path), "--a", "2", "--b", "1"], "thread"),
+        (["simulate", "--spec", str(spec_path), "--out", str(out)], "scenario"),
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == f"error: {args[2]} is not a valid {kind}: {UNPRINTABLE_ID_ERROR.format(uid)}\n"
+    assert not out.exists()
 
 
 # Each thread command, its arguments after the file, and its exit codes on a

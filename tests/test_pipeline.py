@@ -1,11 +1,16 @@
 """Per-message and per-user conflict aggregation, and the full analysis."""
 
+import importlib.util
 import math
 import random
 from math import fsum
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trolldetect import pipeline
 from trolldetect import (
@@ -26,7 +31,8 @@ from trolldetect.errors import (
     SameUser,
     UnknownUser,
 )
-from trolldetect.simulate import example1, generate
+from trolldetect.simulate import example1, generate, spec_from_dict
+from trolldetect.thread import OFF_TOPIC, SENSELESS, thread_from_dict, topic_label
 
 from helpers import random_mass, random_thread
 from oracles import (
@@ -401,6 +407,28 @@ class TestScoringKernel:
         assert tiled == default
         assert peak < 1 << 20
 
+    def test_wide_bbas_match_scalar_conflict_on_the_slot_packing(self, monkeypatch):
+        # Ragged counts of up to 40 focal sets over the 2^9 subsets of a
+        # 9-hypothesis frame, every third bba holding the empty set: slot
+        # pairs far past the 10 the random threads above reach.
+        monkeypatch.setattr(pipeline, "_VOCABULARY_RATIO", 0)
+        frame = MessageFrame(topic_count=7, relevant_topic=1)
+        rng = random.Random(9)
+        messages = []
+        for rank in range(1, 31):
+            subsets = rng.sample(range(1, 1 << 9), rng.randint(1, 40) - (rank % 3 == 0))
+            subsets += [0] * (rank % 3 == 0)
+            weights = [rng.uniform(0.05, 1.0) for _ in subsets]
+            total = fsum(weights)
+            bba = MassFunction(frame.frame, [(s, w / total) for s, w in zip(subsets, weights)])
+            messages.append(Message(author=f"U{rank % 4}", rank=rank, bba=bba))
+        t = Thread(frame=frame, users=("U1", "U2", "U3", "U0"), messages=tuple(messages))
+        assert max(len(m.bba) for m in messages) > 30
+        scores, scoring = pipeline._score_rows(t, range(1, 31))
+        assert scoring["packing"] == "slots"
+        for rank, got in enumerate(scores, start=1):
+            assert got == pytest.approx(scalar_flat_mean(t, rank), abs=1e-12)
+
 
 # Each packing forced by the constant that picks it: at 0 every thread takes
 # the slot packing, at infinity every thread takes the vocabulary packing.
@@ -606,3 +634,94 @@ class TestVictimEffect:
         base = build(("A", shared), ("B", shared), ("A", shared))
         grown = build(("A", shared), ("B", shared), ("A", shared), ("A", shared))
         assert user_conflict(grown, "A") <= user_conflict(base, "A")
+
+
+def _bench_workloads():
+    """The bench's seeded thread generators, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_workloads()
+
+
+@st.composite
+def metamorphic_cases(draw):
+    """A thread of a shape the tests or the bench generate, up to 48
+    messages, with a budget of pairs per tile, up to 24 (most rows span
+    several tiles) or up to 2 500 (most tiles hold several rows), a renaming
+    that reverses the roster, a hypothesis relabeling and a prefix length
+    that leaves at least two users."""
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["random", "wide", "forum"]))
+    if kind == "random":
+        t = random_thread(
+            random.Random(seed), max_users=8, max_messages=48, max_topics=6,
+            max_focal=6, allow_empty=True,
+        )
+    elif kind == "wide":  # the bench's `wide`: mostly distinct focal sets
+        m = draw(st.integers(12, 32))
+        t = thread_from_dict(workloads.wide_thread(
+            seed, m, m // 3, 2, topic_count=draw(st.integers(3, 8)), focal_range=(1, 5)
+        ))
+    else:  # the bench's `forum`: example1 scaled, many users who post once
+        k = draw(st.integers(1, 3))
+        t = generate(spec_from_dict(workloads.scaled_example1_spec(seed, 16 * k, k, 6 * k, k + 1)))
+    users = t.users
+    rename = {u: f"user {len(users) - k:03d}" for k, u in enumerate(users)}
+    topics = [j for j in range(1, t.frame.topic_count + 1) if j != t.frame.relevant_topic]
+    labels = dict(zip(map(topic_label, topics), map(topic_label, draw(st.permutations(topics)))))
+    labels |= {OFF_TOPIC: SENSELESS, SENSELESS: OFF_TOPIC}
+    seen = [len(set(m.author for m in t.messages[:k])) for k in range(1, len(t.messages) + 1)]
+    prefix = draw(st.integers(seen.index(2) + 1, len(t.messages)))
+    return t, draw(st.integers(1, 24) | st.integers(25, 2500)), rename, labels, prefix
+
+
+def _outcome(thread):
+    """Per-message scores and the troll set, None when the split is degenerate."""
+    try:
+        report = analyze(thread)
+    except Degenerate:
+        return pipeline._score_rows(thread, range(1, len(thread.messages) + 1))[0], None
+    return list(report.per_message), report.trolls
+
+
+@pytest.mark.parametrize("packing", sorted(PACKINGS))
+@settings(max_examples=15, deadline=None)
+@given(metamorphic_cases())
+def test_scores_keep_the_thread_symmetries(packing, case):
+    """Renaming users and reversing the roster changes no bit; relabeling
+    hypotheses (Off-topic with Senseless, the controversy topics among
+    themselves) changes only rounding, since Jaccard and inclusion read only
+    set sizes; and a message's score reads only earlier messages."""
+    t, pairs, rename, labels, prefix = case
+    frame = t.frame.frame
+    renamed = Thread(frame=t.frame, users=tuple(rename[u] for u in reversed(t.users)), messages=tuple(
+        Message(author=rename[m.author], rank=m.rank, bba=m.bba) for m in t.messages
+    ))
+    relabeled = Thread(frame=t.frame, users=t.users, messages=tuple(
+        Message(author=m.author, rank=m.rank, bba=MassFunction(frame, [
+            (frame.subset(labels.get(x, x) for x in frame.members(s)), v) for s, v in m.bba.items()
+        ]))
+        for m in t.messages
+    ))
+    head = t.messages[:prefix]
+    cut = Thread(frame=t.frame, users=tuple(u for u in t.users if any(m.author == u for m in head)), messages=head)
+    with mock.patch.object(pipeline, "_VOCABULARY_RATIO", PACKINGS[packing]), \
+            mock.patch.object(pipeline, "_BLOCK_ENTRIES", pairs * pair_cost(t, {"packing": packing})):
+        scores, trolls = _outcome(t)
+        assert pipeline._score_rows(t, [1])[1]["packing"] == packing
+
+        renamed_scores, renamed_trolls = _outcome(renamed)
+        assert renamed_scores == scores
+        assert renamed_trolls == (None if trolls is None else {rename[u] for u in trolls})
+
+        relabeled_scores, relabeled_trolls = _outcome(relabeled)
+        assert relabeled_scores == pytest.approx(scores, rel=0.0, abs=1e-12)
+        assert relabeled_trolls == trolls
+
+        head_scores, _ = pipeline._score_rows(cut, range(1, prefix + 1))
+        assert head_scores == pytest.approx(scores[:prefix], rel=0.0, abs=1e-12)

@@ -136,7 +136,12 @@ class TestValidation:
             (
                 ("A", "\ud800"),
                 ["A", "\ud800"],
-                "user id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+                "user id '\\ud800' holds a control character, lone surrogate or line or paragraph separator, which no command can print",
+            ),
+            (
+                ("A", "B\u2029"),
+                ["A", "B\u2029"],
+                "user id 'B\\u2029' holds a control character, lone surrogate or line or paragraph separator, which no command can print",
             ),
         ],
         ids=[
@@ -147,6 +152,7 @@ class TestValidation:
             "unhashable-author",
             "silent-user",
             "lone-surrogate-id",
+            "paragraph-separator-id",
         ],
     )
     def test_spec_and_thread_share_roster_texts(self, users, authors, text):
