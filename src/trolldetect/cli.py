@@ -7,6 +7,7 @@ malformed thread file, bad ranks), 3 degenerate clustering.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import sys
 import time
@@ -194,14 +195,16 @@ def conflict_pair(thread_path, rank_a, rank_b):
 
 
 def run():
-    """The console entry point: ``main``, then an exit without teardown.
+    """The console entry point: ``main`` with the cyclic garbage collector
+    off, then an exit without teardown.  In-process callers use ``main``,
+    which never gets here, so they keep their collector.
 
     Runs the ``atexit`` handlers and flushes stdout and stderr, as CPython's
     own exit does first, then skips the rest (a last full collection and the
     unloading of every module, 13-25 ms a process on 2 vCPUs) with
-    ``os._exit``.  A failed flush or a code that is not an int exits as
-    usual.  In-process callers use ``main``, which never gets here.
+    ``os._exit``.  A failed flush or a code that is not an int exits as usual.
     """
+    gc.disable()  # the process leaves through os._exit, and the library makes no cycles
     try:
         main()
     except SystemExit as exc:

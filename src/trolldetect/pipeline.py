@@ -134,10 +134,10 @@ def analyze(thread: Thread) -> ConflictReport:
 _BLOCK_ENTRIES = 1 << 16
 
 # The vocabulary packing runs while K^2 <= _VOCABULARY_RATIO P^2, with K the
-# distinct focal sets and P the largest focal count.  Timed with each packing
-# forced on threads with K from 8 to 512, P from 1 to 40 and M of 140, 300 and
-# 600, the vocabulary packing was as fast or faster on every thread up to
-# K^2 = 1 024 P^2 and slower on every one from 16 384 P^2.  128 admits every
+# distinct focal sets and P the largest focal count.  Forced on K of 8-512, P of
+# 1-40 and M of 140-600, it was as fast as the slot packing or faster up to
+# K^2 = 1 024 P^2 and slower from 16 384 P^2, but that predates the slots' block
+# form (1.5-2x faster): today's crossover is unmeasured.  128 admits every
 # generated thread (K <= 17 at P = 2) and keeps the K x K arrays within 32 of
 # the slot packing's per-pair cost of (2P)^2 entries, so a thread of 512
 # sets in bbas of 40 takes the slots (K x K alone would be 2 MiB).

@@ -23,7 +23,7 @@ from typing import Any
 
 from .belief import MassFunction
 from .errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
-from .thread import Message, MessageFrame, Thread, _check_roster, _nogc
+from .thread import Message, MessageFrame, Thread, _check_roster
 
 __all__ = [
     "GENERATOR_ID",
@@ -187,7 +187,6 @@ def _category_set(frame: MessageFrame, entry: ScriptEntry) -> int:
     return frame.topic_set(entry.topic)
 
 
-@_nogc
 def generate(spec: ScenarioSpec) -> Thread:
     """Deterministically expand a scenario into a thread.
 
@@ -246,7 +245,6 @@ def _require(item: Any, where: str, *keys: str) -> None:
             raise InvalidSpec(f"{where} missing key {key!r}")
 
 
-@_nogc
 def load_spec(path: str | Path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))

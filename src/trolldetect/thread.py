@@ -8,8 +8,6 @@ one; the others are controversy bait).
 
 from __future__ import annotations
 
-import functools
-import gc
 import json
 import operator
 import os
@@ -38,54 +36,37 @@ __all__ = [
 OFF_TOPIC = "Off-topic"
 SENSELESS = "Senseless"
 _MAX_TOPICS = MAX_FRAME_SIZE - 2  # the frame also holds OFF_TOPIC and SENSELESS
+# Bidi classes of U+202A-U+202E and U+2066-U+2069; ZWJ and ZWSP are BN, allowed.
+_BIDI_CONTROLS = {"LRE", "RLE", "LRO", "RLO", "PDF", "LRI", "RLI", "FSI", "PDI"}
 
 
 def topic_label(index: int) -> str:
     return f"Topic_{index}"
 
 
-def _nogc(fn):
-    """Run ``fn`` with the cyclic garbage collector paused.
-
-    Decoding or building a document allocates containers for every message
-    and bba entry, all of which survive, so the collections their
-    allocation triggers keep rescanning them for nothing.  These functions
-    make no reference cycles, so pausing the collector leaks nothing.  The collector is
-    process-wide: it is re-enabled afterwards only if it was enabled
-    before, and of two threads loading at once, the first to finish
-    re-enables it for the other too, which only slows that one.
-    """
-
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
-
-
 def _check_roster(users: tuple, authors: list) -> None:
     """The roster rules a thread and a scenario share: string ids with no
     control character, lone surrogate or line or paragraph separator
-    (categories Cc, Cs, Zl, Zp), which could forge or break a printed line;
-    at least two users (conflict is measured against *other* users), no
+    (categories Cc, Cs, Zl, Zp), which could forge or break a printed line,
+    and no explicit bidirectional formatting character, which could reorder
+    one; at least two users (conflict is measured against *other* users), no
     duplicate ids, every author on the roster, and every user posts.
     ``authors`` lists each post's author in order.  Raises ``InvalidThread``."""
     for uid in users:
         if not isinstance(uid, str):
             raise InvalidThread(f"user ids must be strings, got {uid!r}")
-        if not uid.isprintable():  # a printable id holds none of the four
-            from unicodedata import category  # loaded only for such an id
+        if not uid.isprintable():  # a printable id holds none of these
+            from unicodedata import bidirectional, category  # loaded only for such an id
 
             if not {"Cc", "Cs", "Zl", "Zp"}.isdisjoint(map(category, uid)):
                 raise InvalidThread(
                     f"user id {uid!r} holds a control character, lone surrogate"
                     " or line or paragraph separator, which no command can print"
+                )
+            if not _BIDI_CONTROLS.isdisjoint(map(bidirectional, uid)):
+                raise InvalidThread(
+                    f"user id {uid!r} holds a bidirectional formatting character,"
+                    " which could reorder a printed line"
                 )
     if len(users) < 2:
         raise InvalidThread("the roster needs at least two users")
@@ -326,7 +307,6 @@ def thread_to_json(thread: Thread, meta: Any = None) -> str:
     return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
-@_nogc
 def thread_to_dict(thread: Thread) -> dict[str, Any]:
     """JSON object form of a thread, equal to ``thread_to_json``'s text
     decoded.  Built directly, it shares label strings and masses with the
@@ -356,7 +336,6 @@ def thread_to_dict(thread: Thread) -> dict[str, Any]:
     }
 
 
-@_nogc
 def load_thread(path: str | Path) -> Thread:
     with open(path, encoding="utf-8") as fh:
         return thread_from_dict(json.load(fh))

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,9 @@ UNPRINTABLE_ID_ERROR = (
     " separator, which no command can print"
 )
 LONE_SURROGATE_ERROR = UNPRINTABLE_ID_ERROR.format("\ud800")
+BIDI_ID_ERROR = (
+    "user id {!r} holds a bidirectional formatting character, which could reorder a printed line"
+)
 
 
 class TestLoneSurrogateIds:
@@ -280,11 +284,16 @@ class TestLoneSurrogateIds:
 
 
 @pytest.mark.parametrize(
-    "uid",
-    ["U4\ntrolls (center 0.000000000000): U1", "U4\x1b[2K"],  # a forged table line, an ANSI erase
-    ids=["newline", "escape"],
+    "uid, error",
+    [
+        ("U4\ntrolls (center 0.000000000000): U1", UNPRINTABLE_ID_ERROR),  # a forged table line
+        ("U4\x1b[2K", UNPRINTABLE_ID_ERROR),  # an ANSI erase
+        ("U4\u202e1U :)000000000000.0 retnec( sllort", BIDI_ID_ERROR),  # a line shown reversed
+        ("U4\u2067\u05d0\u2069", BIDI_ID_ERROR),  # a right-to-left isolate
+    ],
+    ids=["newline", "escape", "rlo", "isolate"],
 )
-def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid):
+def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid, error):
     spec = spec_to_dict(example1())
     document = thread_to_dict(generate(example1()))
     for entry in spec["users"]:
@@ -302,7 +311,7 @@ def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid):
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert result.output == f"error: {args[2]} is not a valid {kind}: {UNPRINTABLE_ID_ERROR.format(uid)}\n"
+        assert result.output == f"error: {args[2]} is not a valid {kind}: {error.format(uid)}\n"
     assert not out.exists()
 
 
@@ -633,6 +642,27 @@ print("run returned")
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [f"trolldetect, version {__version__}", "handler ran"]
+
+    def test_run_collects_no_garbage(self, tmp_path):
+        # At 2 000 messages the numpy import and scoring would trigger
+        # collections if the collector ran.
+        spec = example1()
+        thread = generate(replace(spec, script=spec.script * 125))
+        assert len(thread.messages) == 2000
+        thread_path = tmp_path / "thread.json"
+        thread_path.write_text(thread_to_json(thread))
+        script = """
+import atexit, gc, sys
+from trolldetect import cli
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info))
+atexit.register(lambda: print("collections:", len(collections), file=sys.stderr))
+sys.argv = ["trolldetect", "detect", "--thread", sys.argv[1]]
+cli.run()
+"""
+        result = run_python(script, str(thread_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "collections: 0\n"
 
     @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
     def test_version_with_stdout_closed_exits_0(self):

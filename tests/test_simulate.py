@@ -143,6 +143,11 @@ class TestValidation:
                 ["A", "B\u2029"],
                 "user id 'B\\u2029' holds a control character, lone surrogate or line or paragraph separator, which no command can print",
             ),
+            (
+                ("A", "B\u202e"),
+                ["A", "B\u202e"],
+                "user id 'B\\u202e' holds a bidirectional formatting character, which could reorder a printed line",
+            ),
         ],
         ids=[
             "non-string-id",
@@ -153,6 +158,7 @@ class TestValidation:
             "silent-user",
             "lone-surrogate-id",
             "paragraph-separator-id",
+            "right-to-left-override-id",
         ],
     )
     def test_spec_and_thread_share_roster_texts(self, users, authors, text):

@@ -12,6 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +29,12 @@ from trolldetect import (
     thread_to_dict,
     thread_to_json,
 )
+from trolldetect.cli import main
+from trolldetect.simulate import load_spec
 from trolldetect.thread import _dumps, write_json_atomic
 from trolldetect.errors import (
     BeliefError,
+    InvalidSpec,
     InvalidSubset,
     InvalidThread,
     NonFiniteMass,
@@ -39,7 +43,14 @@ from trolldetect.errors import (
     UnknownUser,
 )
 
-from helpers import Mask, file_threads, json_documents, json_values, random_thread
+from helpers import (
+    Mask,
+    file_threads,
+    json_documents,
+    json_values,
+    random_thread,
+    spec_to_dict,
+)
 
 MF = MessageFrame(topic_count=2, relevant_topic=1)
 
@@ -384,7 +395,7 @@ class TestThreadText:
     def test_mask_subclass_and_escapes_are_written_like_json(self):
         frame = MF.frame
         bba = MassFunction(frame, [(Mask(MF.relevant_set()), 5e-324), (frame.full_set, 1.0)])
-        users = ('say "hi"\\', "\u200b\u00e9\U0001f600%s")
+        users = ('say "hi"\\', "\u200b\u00e9\U0001f469\u200d\U0001f4bb%s")  # ZWSP, ZWJ: class BN
         thread = Thread(
             frame=MF,
             users=users,
@@ -618,22 +629,62 @@ def test_exact_type_shortcuts_judge_like_the_full_checks(doc, error, text):
     assert str(err.value) == text
 
 
+# Each library entry point that decodes or builds a document, and the click
+# group run in-process, with the document it reads from a file (None: none).
+COLLECTOR_CALLS = {
+    "load_thread": (SAMPLE, load_thread),
+    "load_spec": (spec_to_dict(example1()), load_spec),
+    "generate": (None, lambda path: generate(example1())),
+    "thread_to_dict": (None, lambda path: thread_to_dict(generate(example1()))),
+    "cli.main": (
+        thread_to_dict(generate(example1())),
+        lambda path: CliRunner().invoke(main, ["detect", "--thread", str(path)]),
+    ),
+}
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
-def test_loading_leaves_the_collector_as_it_found_it(tmp_path, enabled, malformed):
-    path = tmp_path / "thread.json"
-    path.write_text('{"users": []}' if malformed else json.dumps(SAMPLE), encoding="utf-8")
+@pytest.mark.parametrize(
+    "call, malformed",
+    [
+        ("load_thread", False),
+        ("load_thread", True),
+        ("load_spec", False),
+        ("load_spec", True),
+        ("generate", False),
+        ("thread_to_dict", False),
+        ("cli.main", False),
+        ("cli.main", True),
+    ],
+    ids=[
+        "valid",
+        "malformed",
+        "load_spec-valid",
+        "load_spec-malformed",
+        "generate",
+        "thread_to_dict",
+        "cli.main-valid",
+        "cli.main-malformed",
+    ],
+)
+def test_loading_leaves_the_collector_as_it_found_it(tmp_path, enabled, call, malformed):
+    document, run = COLLECTOR_CALLS[call]
+    path = tmp_path / "input.json"
+    if document is not None:
+        path.write_text('{"users": []}' if malformed else json.dumps(document), encoding="utf-8")
     was = gc.isenabled()
     try:
         if enabled:
             gc.enable()
         else:
             gc.disable()
-        if malformed:
-            with pytest.raises(InvalidThread):
-                load_thread(path)
+        if malformed and call != "cli.main":
+            with pytest.raises((InvalidThread, InvalidSpec)):
+                run(path)
         else:
-            load_thread(path)
+            result = run(path)
+            if call == "cli.main":
+                assert result.exit_code == (2 if malformed else 0), result.output
         assert gc.isenabled() is enabled
     finally:
         if was:
