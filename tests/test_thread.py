@@ -629,62 +629,52 @@ def test_exact_type_shortcuts_judge_like_the_full_checks(doc, error, text):
     assert str(err.value) == text
 
 
+MALFORMED_DOCUMENT = '{"users": []}'
+
+
+def _detect_in_process(path):
+    return CliRunner().invoke(main, ["detect", "--thread", str(path)])
+
+
 # Each library entry point that decodes or builds a document, and the click
-# group run in-process, with the document it reads from a file (None: none).
-COLLECTOR_CALLS = {
-    "load_thread": (SAMPLE, load_thread),
-    "load_spec": (spec_to_dict(example1()), load_spec),
-    "generate": (None, lambda path: generate(example1())),
-    "thread_to_dict": (None, lambda path: thread_to_dict(generate(example1()))),
-    "cli.main": (
-        thread_to_dict(generate(example1())),
-        lambda path: CliRunner().invoke(main, ["detect", "--thread", str(path)]),
-    ),
+# group run in-process: the text of the file it reads (None: it reads none),
+# the call, and what the call must end in (see _outcome).
+COLLECTOR_CASES = {
+    "valid": (lambda: json.dumps(SAMPLE), load_thread, 0),
+    "malformed": (lambda: MALFORMED_DOCUMENT, load_thread, InvalidThread),
+    "load_spec-valid": (lambda: json.dumps(spec_to_dict(example1())), load_spec, 0),
+    "load_spec-malformed": (lambda: MALFORMED_DOCUMENT, load_spec, InvalidSpec),
+    "generate": (None, lambda path: generate(example1()), 0),
+    "thread_to_dict": (None, lambda path: thread_to_dict(generate(example1())), 0),
+    "cli.main-valid": (lambda: thread_to_json(generate(example1())), _detect_in_process, 0),
+    "cli.main-malformed": (lambda: MALFORMED_DOCUMENT, _detect_in_process, 2),
 }
 
 
+def _outcome(run, path):
+    """What ``run(path)`` ends in: the class of the ``BeliefError`` it
+    raises, else the exit code of the click ``Result`` it returns, else 0."""
+    try:
+        result = run(path)
+    except BeliefError as err:
+        return type(err)
+    return getattr(result, "exit_code", 0)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize(
-    "call, malformed",
-    [
-        ("load_thread", False),
-        ("load_thread", True),
-        ("load_spec", False),
-        ("load_spec", True),
-        ("generate", False),
-        ("thread_to_dict", False),
-        ("cli.main", False),
-        ("cli.main", True),
-    ],
-    ids=[
-        "valid",
-        "malformed",
-        "load_spec-valid",
-        "load_spec-malformed",
-        "generate",
-        "thread_to_dict",
-        "cli.main-valid",
-        "cli.main-malformed",
-    ],
-)
-def test_loading_leaves_the_collector_as_it_found_it(tmp_path, enabled, call, malformed):
-    document, run = COLLECTOR_CALLS[call]
+@pytest.mark.parametrize("case", list(COLLECTOR_CASES))
+def test_loading_leaves_the_collector_as_it_found_it(tmp_path, enabled, case):
+    text, run, expected = COLLECTOR_CASES[case]
     path = tmp_path / "input.json"
-    if document is not None:
-        path.write_text('{"users": []}' if malformed else json.dumps(document), encoding="utf-8")
+    if text is not None:
+        path.write_text(text(), encoding="utf-8")
     was = gc.isenabled()
     try:
         if enabled:
             gc.enable()
         else:
             gc.disable()
-        if malformed and call != "cli.main":
-            with pytest.raises((InvalidThread, InvalidSpec)):
-                run(path)
-        else:
-            result = run(path)
-            if call == "cli.main":
-                assert result.exit_code == (2 if malformed else 0), result.output
+        assert _outcome(run, path) == expected
         assert gc.isenabled() is enabled
     finally:
         if was:
