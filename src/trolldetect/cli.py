@@ -78,11 +78,6 @@ def _load_or_exit(load, path: str, kind: str):
 @click.version_option(__version__, prog_name="trolldetect")
 def main():
     """Conflict-based troll detection for discussion threads."""
-    # Before the kernel's first numpy import: idle OpenBLAS workers spin, which
-    # slowed a 90 ms numpy import to 160 ms on a 2-core host, and the kernel's
-    # products (exact 0/1 sums on small tiles) never need them.  Not set at
-    # import or in the kernel, so a library user's process keeps its pool.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @main.command()
@@ -195,15 +190,20 @@ def conflict_pair(thread_path, rank_a, rank_b):
 
 
 def run():
-    """The console entry point: ``main`` with the cyclic garbage collector
-    off, then an exit without teardown.  In-process callers use ``main``,
-    which never gets here, so they keep their collector.
+    """The console entry point, the one place that changes process state:
+    OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set, the cyclic
+    garbage collector off, then ``main`` and an exit without teardown.
+    In-process callers use ``main``, which does none of this.
 
     Runs the ``atexit`` handlers and flushes stdout and stderr, as CPython's
     own exit does first, then skips the rest (a last full collection and the
     unloading of every module, 13-25 ms a process on 2 vCPUs) with
     ``os._exit``.  A failed flush or a code that is not an int exits as usual.
     """
+    # Before numpy's first import (inside a command): idle OpenBLAS workers
+    # spin, which slowed a 90 ms numpy import to 160 ms on a 2-core host, and
+    # the kernel's products (exact 0/1 sums on small tiles) never need them.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()  # the process leaves through os._exit, and the library makes no cycles
     try:
         main()
@@ -236,7 +236,3 @@ def _drop_unwritable_stdout() -> None:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
-
-
-if __name__ == "__main__":
-    run()

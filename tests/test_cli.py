@@ -450,50 +450,71 @@ def example1_file(tmp_path):
     return path
 
 
+# ``trolldetect detect --thread ARGV[1]`` through the console entry.  ``run``
+# leaves by ``os._exit``, so nothing after it runs; an exit handler, which
+# ``run`` calls first, reports what the command left behind.
+CONSOLE_DETECT = """
+import atexit, os, sys
+import trolldetect.cli
+print("import:", os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules, file=sys.stderr)
+
+
+def report():
+    threads = None
+    if os.path.exists("/proc/self/status"):
+        with open("/proc/self/status") as fh:
+            threads = next(line for line in fh if line.startswith("Threads:")).split()[1]
+    print("exit:", os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules, threads, file=sys.stderr)
+
+
+atexit.register(report)
+sys.argv = ["trolldetect", "detect", "--thread", sys.argv[1]]
+trolldetect.cli.run()
+"""
+
+
 def test_cli_runs_openblas_on_one_thread(monkeypatch, example1_file):
     # The default must come before numpy's first import: OpenBLAS starts its
     # worker threads when it loads, so a late default leaves them running.
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    script = """
-import os, sys
-import trolldetect.cli
-assert "OPENBLAS_NUM_THREADS" not in os.environ, "set at import"
-assert "numpy" not in sys.modules, "numpy loaded at import"
-trolldetect.cli.main(["detect", "--thread", sys.argv[1]], standalone_mode=False)
-assert "numpy" in sys.modules, "the thread was not scored"
-assert os.environ["OPENBLAS_NUM_THREADS"] == "1", os.environ["OPENBLAS_NUM_THREADS"]
-if os.path.exists("/proc/self/status"):
-    with open("/proc/self/status") as fh:
-        threads = next(line for line in fh if line.startswith("Threads:"))
-    assert threads.split() == ["Threads:", "1"], threads
-"""
-    result = run_python(script, str(example1_file))
+    result = run_python(CONSOLE_DETECT, str(example1_file))
     assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("user conflict:\n")
+    threads = "1" if os.path.exists("/proc/self/status") else "None"
+    # Unset and numpy unloaded at import; "1" with one thread once scored.
+    assert result.stderr.splitlines() == ["import: None False", f"exit: 1 True {threads}"]
 
 
 def test_cli_keeps_a_preset_openblas_thread_count(monkeypatch, example1_file):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    script = """
-import os, sys
-from trolldetect.cli import main
-main(["detect", "--thread", sys.argv[1]], standalone_mode=False)
-assert "numpy" in sys.modules, "the thread was not scored"
-assert os.environ["OPENBLAS_NUM_THREADS"] == "2", os.environ["OPENBLAS_NUM_THREADS"]
-"""
-    result = run_python(script, str(example1_file))
+    result = run_python(CONSOLE_DETECT, str(example1_file))
     assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("user conflict:\n")
+    at_import, at_exit = result.stderr.splitlines()
+    assert at_import == "import: 2 False"
+    assert at_exit.split()[:3] == ["exit:", "2", "True"], at_exit
 
 
-def test_library_leaves_the_environment_alone(monkeypatch):
+@pytest.mark.parametrize(
+    "call",
+    [
+        "trolldetect.analyze(trolldetect.generate(trolldetect.example1()))",
+        'from trolldetect.cli import main\n'
+        'main(["detect", "--thread", sys.argv[1]], standalone_mode=False)',
+    ],
+    ids=["library", "click-group"],
+)
+def test_library_leaves_the_environment_alone(monkeypatch, example1_file, call):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    script = """
-import os
+    script = f"""
+import os, sys
 before = dict(os.environ)
 import trolldetect
-trolldetect.analyze(trolldetect.generate(trolldetect.example1()))
+{call}
+assert "numpy" in sys.modules, "the thread was not scored"
 assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
 """
-    result = run_python(script)
+    result = run_python(script, str(example1_file))
     assert result.returncode == 0, result.stderr
 
 
