@@ -234,6 +234,13 @@ class MassFunction:
     def __len__(self) -> int:
         return len(self._sets)
 
+    def _share_sets(self, shared: dict[tuple[int, ...], tuple[int, ...]]) -> None:
+        """Point ``focal_sets()`` at ``shared``'s equal tuple, adding this
+        bba's own when ``shared`` has none yet.  The value is unchanged, so
+        no answer, ``==`` or ``repr`` moves; a thread's bbas then hold one
+        tuple per distinct focal pattern instead of one each."""
+        self._sets = shared.setdefault(self._sets, self._sets)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
-from math import fsum
+from math import fsum, isfinite
 
 from .errors import Degenerate
 
@@ -42,11 +42,15 @@ def kmeans2(values: Mapping[Hashable, float]) -> Partition2:
     cluster), assigns every item to the nearer of the two cut means
     (items equidistant from both go low), and returns the means of the
     two sides as centers.  Raises :class:`Degenerate` for fewer than two
-    items or when all values coincide within 1e-12.
+    items, for a value that is NaN or infinite (naming its item), or when
+    all values coincide within 1e-12.
     """
     items = list(values.items())
     if len(items) < 2:
         raise Degenerate("need at least two items to split")
+    for key, v in items:
+        if not isfinite(v):
+            raise Degenerate(f"item {key!r} has the value {v!r}, which is not finite")
     ordered = sorted(v for _, v in items)
     if ordered[-1] - ordered[0] <= _SPREAD_EPS:
         raise Degenerate("all values are numerically identical")

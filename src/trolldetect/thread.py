@@ -156,7 +156,8 @@ class Thread:
     """A validated discussion thread.
 
     The roster passes ``_check_roster``, ranks must be exactly the ints
-    1..M, and every message uses the thread's frame.
+    1..M, and every message uses the thread's frame.  Its bbas' equal
+    ``focal_sets()`` tuples are then one shared tuple per distinct pattern.
     """
 
     frame: MessageFrame
@@ -182,9 +183,11 @@ class Thread:
                 f"{len(misplaced)} out of place, first rank {rank!r} at position {position}"
             )
         frame = self.frame.frame
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # focal sets -> the one kept
         for msg in messages:
             if msg.bba.frame is not frame and msg.bba.frame != frame:
                 raise InvalidThread(f"message {msg.rank} uses a different frame than the thread")
+            msg.bba._share_sets(shared)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "messages", messages)
 
@@ -346,13 +349,15 @@ def write_json_atomic(text: str, path: str | Path) -> None:
     rename, so a reader never sees a partial file.  The text is JSON from
     ``thread_to_json`` or ``_dumps``.
 
-    The temp file gets a random name in the target directory, so writers
-    to the same path never share one, and a failed write removes only its
-    own temp file.  It is created with mode 0o666 less the umask in force
-    at the call, the mode ``open()`` gives a new file.
+    The temp file gets a random name, ``.<16 hex digits>.tmp``, in the
+    target directory, so writers to the same path never share one, a
+    failed write removes only its own temp file, and any name the
+    directory accepts for the target is also writable.  It is created
+    with mode 0o666 less the umask in force at the call, the mode
+    ``open()`` gives a new file.
     """
     path = Path(path)
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    tmp = path.parent / f".{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:

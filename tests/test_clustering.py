@@ -37,6 +37,11 @@ class TestKmeans2:
         with pytest.raises(Degenerate):
             kmeans2({"A": 0.1, "B": 0.1 + 1e-13})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_value_that_is_not_finite_degenerate(self, value):
+        with pytest.raises(Degenerate, match=f"^item 'a' has the value {value!r}, which is not finite$"):
+            kmeans2({"a": value, "b": 1.0, "c": 2.0})
+
     def test_centers_ordered_and_partition_covers(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -210,6 +210,66 @@ class TestThreadValidation:
             t.ranks_by("U9")
 
 
+def _values(messages):
+    """Each message's focal-set and mass tuples, by rank."""
+    return sorted((m.rank, m.bba.focal_sets(), m.bba.masses()) for m in messages)
+
+
+def _fresh_bba(subset, mass):
+    """A bba built from new lists, so its focal-set tuple is its own."""
+    return MassFunction(MF.frame, [(subset, mass), (MF.frame.full_set, 1.0 - mass)])
+
+
+def _generated():
+    return generate(example1())
+
+
+def _loaded():
+    return thread_from_dict(thread_to_dict(generate(example1())))
+
+
+def _constructed():
+    subsets = [MF.relevant_set(), MF.topic_set(2), MF.off_topic_set()] * 4
+    messages = [
+        Message(f"U{rank % 3}", rank, _fresh_bba(subset, 0.5 + rank / 100))
+        for rank, subset in enumerate(subsets, start=1)
+    ]
+    return Thread(frame=MF, users=("U0", "U1", "U2"), messages=tuple(messages))
+
+
+class TestSharedFocalSets:
+    @pytest.mark.parametrize("build", [_generated, _loaded, _constructed])
+    def test_one_tuple_per_pattern_holding_the_built_values(self, monkeypatch, build):
+        built = []  # the messages' values when the Thread was called
+
+        def recording(real=Thread, **fields):
+            built.append(_values(fields["messages"]))
+            return real(**fields)
+
+        for module in ("trolldetect.simulate", "trolldetect.thread"):
+            monkeypatch.setattr(f"{module}.Thread", recording)
+        monkeypatch.setitem(globals(), "Thread", recording)
+        thread = build()
+        tuples = [m.bba.focal_sets() for m in thread.messages]
+        assert len(set(tuples)) < len(tuples)
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+        assert _values(thread.messages) == built[-1]
+
+    def test_a_bba_in_two_threads_keeps_its_value(self):
+        bba, twin = _fresh_bba(MF.relevant_set(), 0.7), _fresh_bba(MF.relevant_set(), 0.7)
+        assert bba == twin and bba.focal_sets() is not twin.focal_sets()
+        first = Thread(
+            frame=MF,
+            users=("U1", "U2"),
+            messages=(Message("U1", 1, bba), Message("U2", 2, _fresh_bba(MF.relevant_set(), 0.6))),
+        )
+        second = Thread(frame=MF, users=("U1", "U2"), messages=(Message("U1", 1, twin), Message("U2", 2, bba)))
+        assert bba == twin
+        assert first.message(1).bba is bba and second.message(2).bba is bba
+        assert bba.focal_sets() is twin.focal_sets()  # twin comes first in the second thread
+        assert repr(bba) == repr(twin)
+
+
 SAMPLE = {
     "topic_count": 2,
     "relevant_topic": 1,
@@ -429,6 +489,14 @@ class TestWriteJsonAtomic:
         with pytest.raises(UnicodeEncodeError):  # a lone surrogate, which UTF-8 cannot encode
             write_json_atomic('{"a": "\ud800"}', tmp_path / "out.json")
         assert list(tmp_path.iterdir()) == []
+
+    def test_longest_legal_name_is_writable(self, tmp_path):
+        if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+            pytest.skip("the file system takes names shorter than 255 bytes")
+        path = tmp_path / ("a" * 245 + ".json")  # 250 bytes
+        write_json_atomic('{"a": 1}', path)
+        assert path.read_text(encoding="utf-8") == '{"a": 1}\n'
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_concurrent_writers_to_one_path(self, tmp_path):
         path = tmp_path / "out.json"
