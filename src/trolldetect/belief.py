@@ -275,6 +275,7 @@ def _require_same_frame(m1: MassFunction, m2: MassFunction) -> None:
 
 def _combine(m1: MassFunction, m2: MassFunction, op) -> dict[int, float]:
     """Accumulate products of focal-pair masses under a subset operator."""
+    _require_same_frame(m1, m2)
     out: dict[int, float] = {}
     for s1, v1 in m1.items():
         for s2, v2 in m2.items():
@@ -285,19 +286,16 @@ def _combine(m1: MassFunction, m2: MassFunction, op) -> dict[int, float]:
 
 def combine_conjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Unnormalized conjunctive combination; may place mass on the empty set."""
-    _require_same_frame(m1, m2)
     return MassFunction(m1.frame, _combine(m1, m2, lambda a, b: a & b))
 
 
 def combine_disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Disjunctive combination: products accumulate on unions of focal sets."""
-    _require_same_frame(m1, m2)
     return MassFunction(m1.frame, _combine(m1, m2, lambda a, b: a | b))
 
 
 def global_conflict(m1: MassFunction, m2: MassFunction) -> float:
     """Total product mass falling on the empty set under conjunction."""
-    _require_same_frame(m1, m2)
     return _combine(m1, m2, lambda a, b: a & b).get(0, 0.0)
 
 
@@ -309,7 +307,6 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     empty set.  Raises :class:`TotalConflict` when ``k`` is 1 within
     ``INTERNAL_TOLERANCE``.
     """
-    _require_same_frame(m1, m2)
     combined = _combine(m1, m2, lambda a, b: a & b)
     k = combined.pop(0, 0.0)
     if 1.0 - k <= INTERNAL_TOLERANCE:

@@ -18,30 +18,23 @@ import click
 from . import __version__
 from .errors import BeliefError, Degenerate
 
-# name -> module: each loads on first use, so a command imports only what
-# it runs.  The commands look these up on the module (``_cli.<name>``), so
-# a name rebound here, as bench/tracing.py does, is the one that runs.
-# ``thread_to_dict`` is unused here but bench/tracing.py wraps it by this
-# module's name (the ``thread.to_dict`` span).
-_LAZY = {
-    name: module
-    for module, names in (
-        ("thread", "load_thread thread_to_json thread_to_dict write_json_atomic _dumps"),
-        ("simulate", "BUILTIN_SCENARIOS GENERATOR_ID generate load_spec"),
-        ("pipeline", "analyze"),
-        ("conflict", "conflict inclusion_degree symmetric_inclusion"),
-        ("belief", "jousselme_distance"),
-    )
-    for name in names.split()
-}
+# The commands look names up on the module (``_cli.<name>``), so a name
+# rebound here, as bench/tracing.py does, is the one that runs.  Each loads
+# on first use, so a command imports only what it runs: an exported name
+# through the package's own table, these unexported helpers through this one.
+_HELPERS = {"write_json_atomic": "thread", "_dumps": "thread",
+            "GENERATOR_ID": "simulate", "load_spec": "simulate"}
+_package = sys.modules[__package__]
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    if name in _HELPERS:
+        value = getattr(import_module(f".{_HELPERS[name]}", __package__), name)
+    elif name in _package.__all__:
+        value = getattr(_package, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __package__), name)
     globals()[name] = value
     return value
 
@@ -72,6 +65,14 @@ def _load_or_exit(load, path: str, kind: str):
         _fail(EXIT_INVALID, f"{path} is not valid JSON: {exc}")
     except BeliefError as exc:
         _fail(EXIT_INVALID, f"{path} is not a valid {kind}: {exc}")
+
+
+def _write_or_exit(text: str, path: str) -> None:
+    """``write_json_atomic(text, path)``, or exit 1 naming the path."""
+    try:
+        _cli.write_json_atomic(text, path)
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
 
 
 @click.group()
@@ -106,20 +107,14 @@ def simulate(scenario, spec_path, seed, out_path):
         from dataclasses import replace
 
         spec = replace(spec, seed=seed)
-    try:
-        thread = _cli.generate(spec)
-    except BeliefError as exc:
-        _fail(EXIT_INVALID, f"invalid scenario: {exc}")
+    thread = _cli.generate(spec)
     meta = {
         "tool": "trolldetect",
         "version": __version__,
         "generator": _cli.GENERATOR_ID,
         "seed": spec.seed,
     }
-    try:
-        _cli.write_json_atomic(_cli.thread_to_json(thread, meta), out_path)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {out_path}: {exc.strerror or exc}")
+    _write_or_exit(_cli.thread_to_json(thread, meta), out_path)
     click.echo(
         f"wrote {len(thread.messages)} messages by {len(thread.users)} users "
         f"to {out_path}"
@@ -155,10 +150,7 @@ def detect(thread_path, json_path):
             },
             "report": summary,
         }
-        try:
-            _cli.write_json_atomic(_cli._dumps(document), json_path)
-        except OSError as exc:
-            _fail(EXIT_IO, f"cannot write {json_path}: {exc.strerror or exc}")
+        _write_or_exit(_cli._dumps(document), json_path)
     # One echo for the table: one per user took 17-25 ms at 5 000 users
     # (2 vCPUs).
     click.echo("\n".join([

@@ -45,6 +45,16 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
     }
 
 
+# Every name the CLI commands look up on ``trolldetect.cli`` when they run,
+# and bench/tracing.py rebinds there: the first nine are package exports,
+# the last four the unexported helpers cli resolves through its own table.
+CLI_NAMES = (
+    "BUILTIN_SCENARIOS", "generate", "thread_to_json", "load_thread", "analyze",
+    "conflict", "inclusion_degree", "symmetric_inclusion", "jousselme_distance",
+    "write_json_atomic", "_dumps", "GENERATOR_ID", "load_spec",
+)
+
+
 def run_python(script, *args):
     """Run ``script`` in a fresh interpreter that imports this checkout's
     ``trolldetect``."""

@@ -29,6 +29,7 @@ from trolldetect.errors import BeliefError
 from trolldetect.simulate import BUILTIN_SCENARIOS, example1, spec_from_dict
 
 from helpers import (
+    CLI_NAMES,
     json_documents,
     random_mass,
     run_interpreter,
@@ -576,8 +577,7 @@ def test_commands_call_the_names_bound_on_the_cli_module(monkeypatch, runner, tm
 
         return wrapper
 
-    # thread_to_dict is bound only for the bench's span; no command calls it.
-    names = {n for n in cli._LAZY if callable(getattr(cli, n))} - {"thread_to_dict"}
+    names = {n for n in CLI_NAMES if callable(getattr(cli, n))}
     for name in names:
         monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
     spec = tmp_path / "spec.json"

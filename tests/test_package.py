@@ -1,13 +1,15 @@
 """The package's public names: one table, loaded on first access."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 import trolldetect
 import trolldetect.cli as cli
 
-from helpers import run_python
+from helpers import CLI_NAMES, run_python
 
 EXPORTS = {
     "__version__", "errors",
@@ -49,17 +51,46 @@ def test_dir_lists_the_exports():
     assert EXPORTS <= set(dir(trolldetect))
 
 
-@pytest.mark.parametrize("module", [trolldetect, cli], ids=["trolldetect", "cli"])
-def test_unknown_attribute_raises_attribute_error(module):
-    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
-        module.nope
+@pytest.mark.parametrize(
+    "module, name",
+    [(trolldetect, "nope"), (cli, "nope"), (cli, "_EXPORTS")],
+    ids=["trolldetect", "cli", "cli-_EXPORTS"],
+)
+def test_unknown_attribute_raises_attribute_error(module, name):
+    # cli resolves only the package's exports, not every package attribute.
+    with pytest.raises(AttributeError, match=f"'{module.__name__}' has no attribute '{name}'"):
+        getattr(module, name)
 
 
 def test_cli_lazy_names_resolve():
-    # bench/tracing.py reads and rebinds these on the cli module.
-    for name in cli._LAZY:
-        module = __import__(f"trolldetect.{cli._LAZY[name]}", fromlist=[name])
-        assert getattr(cli, name) is getattr(module, name)
+    # bench/tracing.py reads and rebinds these on the cli module.  Exported
+    # names come from the package's table, the helpers from cli's own.
+    for name in CLI_NAMES:
+        value = getattr(cli, name)
+        if name in trolldetect.__all__:
+            assert value is getattr(trolldetect, name), name
+        else:
+            module = __import__(f"trolldetect.{cli._HELPERS[name]}", fromlist=[name])
+            assert value is getattr(module, name), name
+
+
+def test_every_name_the_bench_traces_resolves_to_a_callable():
+    # bench/tracing.py rebinds these; a missing one breaks only ``--trace 1``.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module, attr, _, _ in tracing.PATCHES:
+        assert callable(getattr(module, attr)), (module.__name__, attr)
+
+
+def test_pyproject_version_is_the_package_version():
+    # pip reads the first; --version and the files the CLI writes, the second.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with path.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == trolldetect.__version__
 
 
 def test_exports_load_on_first_access_and_conflict_stays_the_function():
