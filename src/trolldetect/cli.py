@@ -60,7 +60,7 @@ def _load_or_exit(load, path: str, kind: str):
     try:
         return load(path)
     except OSError as exc:
-        _fail(EXIT_IO, f"cannot read {path}: {exc}")
+        _fail(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}")
     except _UNREADABLE as exc:
         _fail(EXIT_INVALID, f"{path} is not valid JSON: {exc}")
     except BeliefError as exc:

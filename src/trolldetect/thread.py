@@ -36,8 +36,6 @@ __all__ = [
 OFF_TOPIC = "Off-topic"
 SENSELESS = "Senseless"
 _MAX_TOPICS = MAX_FRAME_SIZE - 2  # the frame also holds OFF_TOPIC and SENSELESS
-# Bidi classes of U+202A-U+202E and U+2066-U+2069; ZWJ and ZWSP are BN, allowed.
-_BIDI_CONTROLS = {"LRE", "RLE", "LRO", "RLO", "PDF", "LRI", "RLI", "FSI", "PDI"}
 
 
 def topic_label(index: int) -> str:
@@ -45,29 +43,22 @@ def topic_label(index: int) -> str:
 
 
 def _check_roster(users: tuple, authors: list) -> None:
-    """The roster rules a thread and a scenario share: string ids with no
-    control character, lone surrogate or line or paragraph separator
-    (categories Cc, Cs, Zl, Zp), which could forge or break a printed line,
-    and no explicit bidirectional formatting character, which could reorder
-    one; at least two users (conflict is measured against *other* users), no
-    duplicate ids, every author on the roster, and every user posts.
-    ``authors`` lists each post's author in order.  Raises ``InvalidThread``."""
+    """The roster rules a thread and a scenario share: each id is a non-empty
+    string that holds no space and prints (``str.isprintable``: no control,
+    format such as a bidi override or zero-width space, surrogate,
+    separator, private-use or unassigned character), so every table line
+    shows it as one visible token; at least two users (conflict is measured
+    against *other* users), no duplicate ids, every author on the roster,
+    and every user posts.  ``authors`` lists each post's author in order.
+    Raises ``InvalidThread``."""
     for uid in users:
         if not isinstance(uid, str):
             raise InvalidThread(f"user ids must be strings, got {uid!r}")
-        if not uid.isprintable():  # a printable id holds none of these
-            from unicodedata import bidirectional, category  # loaded only for such an id
-
-            if not {"Cc", "Cs", "Zl", "Zp"}.isdisjoint(map(category, uid)):
-                raise InvalidThread(
-                    f"user id {uid!r} holds a control character, lone surrogate"
-                    " or line or paragraph separator, which no command can print"
-                )
-            if not _BIDI_CONTROLS.isdisjoint(map(bidirectional, uid)):
-                raise InvalidThread(
-                    f"user id {uid!r} holds a bidirectional formatting character,"
-                    " which could reorder a printed line"
-                )
+        if not uid or " " in uid or not uid.isprintable():
+            raise InvalidThread(
+                f"user id {uid!r} is empty or holds a space or a character that"
+                " does not print, so no table line could show it as one id"
+            )
     if len(users) < 2:
         raise InvalidThread("the roster needs at least two users")
     roster = set(users)

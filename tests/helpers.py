@@ -135,9 +135,10 @@ def random_thread(
 EXTREME_MASSES = (5e-324, 1e-300, 2.0**-1074 * 3, 0.1, 1 / 3, 1 - 2.0**-53)
 
 
-# Text a user id may hold: anything but the control characters, lone
-# surrogates and line or paragraph separators the roster check refuses.
-ID_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")))
+# Text a user id may hold: the roster check's rule, one or more characters
+# that print, none of them a space (categories C and Z are what
+# ``str.isprintable`` refuses, and U+0020 is category Zs).
+ID_TEXT = st.text(st.characters(exclude_categories=("C", "Z")), min_size=1)
 
 
 class Mask(int):
@@ -147,7 +148,7 @@ class Mask(int):
 @st.composite
 def file_threads(draw):
     """``random_thread`` with ``ID_TEXT`` user ids (quotes, backslashes,
-    format, private-use and non-ASCII characters), some bbas swapped for an
+    combining marks, symbols and non-ASCII letters), some bbas swapped for an
     extreme or repr-heavy mass beside its remainder, and rank 1's first
     focal set given as a ``Mask``."""
     thread = random_thread(draw(st.randoms(use_true_random=False)), max_users=4)

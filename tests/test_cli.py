@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trolldetect import (
     MassFunction,
@@ -237,14 +238,11 @@ class TestSimulate:
         assert result.exit_code == 1
 
 
-UNPRINTABLE_ID_ERROR = (
-    "user id {!r} holds a control character, lone surrogate or line or paragraph"
-    " separator, which no command can print"
+ID_ERROR = (
+    "user id {!r} is empty or holds a space or a character that does not print,"
+    " so no table line could show it as one id"
 )
-LONE_SURROGATE_ERROR = UNPRINTABLE_ID_ERROR.format("\ud800")
-BIDI_ID_ERROR = (
-    "user id {!r} holds a bidirectional formatting character, which could reorder a printed line"
-)
+LONE_SURROGATE_ERROR = ID_ERROR.format("\ud800")
 
 
 class TestLoneSurrogateIds:
@@ -284,17 +282,23 @@ class TestLoneSurrogateIds:
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "uid, error",
-    [
-        ("U4\ntrolls (center 0.000000000000): U1", UNPRINTABLE_ID_ERROR),  # a forged table line
-        ("U4\x1b[2K", UNPRINTABLE_ID_ERROR),  # an ANSI erase
-        ("U4\u202e1U :)000000000000.0 retnec( sllort", BIDI_ID_ERROR),  # a line shown reversed
-        ("U4\u2067\u05d0\u2069", BIDI_ID_ERROR),  # a right-to-left isolate
-    ],
-    ids=["newline", "escape", "rlo", "isolate"],
-)
-def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid, error):
+# Ids no table line could show as one token: each forges a line, hides a
+# name or passes for another user.
+UNPRINTABLE_IDS = {
+    "newline": "U4\ntrolls (center 0.000000000000): U1",  # a forged table line
+    "escape": "U4\x1b[2K",  # an ANSI erase
+    "rlo": "U4\u202e1U :)000000000000.0 retnec( sllort",  # a line shown reversed
+    "isolate": "U4\u2067\u05d0\u2069",  # a right-to-left isolate
+    "empty": "",  # a trolls line that names no one
+    "space": "U1 U2",  # one user printed as two
+    "no-break-space": "U1\u00a0U2",  # the same, with U+00A0
+    "zero-width-space": "U3\u200b",  # prints as the expert U3
+    "zero-width-joiner": "U3\u200d",
+}
+
+
+@pytest.mark.parametrize("uid", UNPRINTABLE_IDS.values(), ids=UNPRINTABLE_IDS)
+def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid):
     spec = spec_to_dict(example1())
     document = thread_to_dict(generate(example1()))
     for entry in spec["users"]:
@@ -312,8 +316,9 @@ def test_unprintable_ids_exit_2_with_one_error_line(runner, tmp_path, uid, error
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert result.output == f"error: {args[2]} is not a valid {kind}: {error.format(uid)}\n"
-    assert not out.exists()
+        assert result.stdout == ""
+        assert result.stderr == f"error: {args[2]} is not a valid {kind}: {ID_ERROR.format(uid)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.json"]
 
 
 # Each thread command, its arguments after the file, and its exit codes on a
@@ -362,6 +367,41 @@ def test_any_json_document_exits_2_unless_it_is_a_spec(doc):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["U1", "U2", "U3", "U4"]), st.text())
+@example(1, "U4", "")
+@example(1, "U4", "U1 U2")
+@example(1, "U4", "U1\u00a0U2")
+@example(1, "U4", "U3\u200b")
+def test_an_accepted_id_prints_as_one_token(seed, renamed, uid):
+    """Whatever a user is renamed to, either both thread commands refuse the
+    file with one error line, or every table row splits into its id and
+    score and the trolls and others lines into the report's lists."""
+    document = thread_to_dict(generate(replace(example1(), seed=seed)))
+    document["users"] = [uid if u == renamed else u for u in document["users"]]
+    for message in document["messages"]:
+        message["author"] = uid if message["author"] == renamed else message["author"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report_path = Path(tmp) / "t.json", Path(tmp) / "r.json"
+        path.write_text(json.dumps(document))
+        detect = CliRunner().invoke(main, ["detect", "--thread", str(path), "--json", str(report_path)])
+        pair = CliRunner().invoke(main, ["conflict", "--thread", str(path), "--a", "1", "--b", "2"])
+        if detect.exit_code == 2:
+            for result in (detect, pair):
+                assert result.exit_code == 2
+                assert result.stdout == ""
+                assert len(result.stderr.splitlines()) == 1
+            return
+        assert (detect.exit_code, pair.exit_code) == (0, 0), detect.output
+        report = json.loads(report_path.read_text())["report"]
+    _, *rows, trolls, others = detect.stdout.splitlines()
+    assert [row.split() for row in rows] == [
+        [user, f"{score:.12f}"] for user, score in report["per_user"].items()
+    ]
+    assert trolls.split("): ", 1)[1].split() == report["trolls"]
+    assert others.split("): ", 1)[1].split() == report["others"]
+
+
 @pytest.mark.parametrize(
     "command",
     [["simulate", "--scenario", "example1", "--out", "{out}"],
@@ -377,6 +417,21 @@ def test_unwritable_output_names_only_the_given_path(runner, example1_file, tmp_
     result = runner.invoke(main, [a.format(out=out, thread=example1_file) for a in command])
     assert result.exit_code == 1
     assert result.output.splitlines() == [f"error: cannot write {out}: No such file or directory"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["detect", "--thread", "{file}"],
+     ["conflict", "--thread", "{file}", "--a", "1", "--b", "2"],
+     ["simulate", "--spec", "{file}", "--out", "{out}"]],
+    ids=["detect", "conflict", "simulate-spec"],
+)
+def test_unreadable_path_names_the_path_once(runner, tmp_path, command):
+    out = tmp_path / "o.json"
+    result = runner.invoke(main, [a.format(file=tmp_path, out=out) for a in command])
+    assert result.exit_code == 1
+    assert (result.stdout, result.stderr) == ("", f"error: cannot read {tmp_path}: Is a directory\n")
+    assert not out.exists()
 
 
 UNREADABLE_FILES = {

@@ -671,7 +671,7 @@ def metamorphic_cases(draw):
         k = draw(st.integers(1, 3))
         t = generate(spec_from_dict(workloads.scaled_example1_spec(seed, 16 * k, k, 6 * k, k + 1)))
     users = t.users
-    rename = {u: f"user {len(users) - k:03d}" for k, u in enumerate(users)}
+    rename = {u: f"user_{len(users) - k:03d}" for k, u in enumerate(users)}
     topics = [j for j in range(1, t.frame.topic_count + 1) if j != t.frame.relevant_topic]
     labels = dict(zip(map(topic_label, topics), map(topic_label, draw(st.permutations(topics)))))
     labels |= {OFF_TOPIC: SENSELESS, SENSELESS: OFF_TOPIC}

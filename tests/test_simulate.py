@@ -136,17 +136,17 @@ class TestValidation:
             (
                 ("A", "\ud800"),
                 ["A", "\ud800"],
-                "user id '\\ud800' holds a control character, lone surrogate or line or paragraph separator, which no command can print",
+                "user id '\\ud800' is empty or holds a space or a character that does not print, so no table line could show it as one id",
             ),
             (
                 ("A", "B\u2029"),
                 ["A", "B\u2029"],
-                "user id 'B\\u2029' holds a control character, lone surrogate or line or paragraph separator, which no command can print",
+                "user id 'B\\u2029' is empty or holds a space or a character that does not print, so no table line could show it as one id",
             ),
             (
                 ("A", "B\u202e"),
                 ["A", "B\u202e"],
-                "user id 'B\\u202e' holds a bidirectional formatting character, which could reorder a printed line",
+                "user id 'B\\u202e' is empty or holds a space or a character that does not print, so no table line could show it as one id",
             ),
         ],
         ids=[
