@@ -1,19 +1,18 @@
 """Command-line front end: simulate threads, detect trolls, inspect pairs.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation failure (bad spec,
-malformed thread file, bad ranks), 3 degenerate clustering.
+Exit codes: 0 success, 1 I/O failure, 2 usage or validation failure (bad
+option, bad spec, malformed thread file, bad ranks), 3 degenerate clustering.
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import gc
 import os
 import sys
 import time
 from importlib import import_module
-
-import click
 
 from . import __version__
 from .errors import BeliefError, Degenerate
@@ -50,8 +49,17 @@ EXIT_DEGENERATE = 3
 _UNREADABLE = (ValueError, RecursionError)
 
 
+def _echo(text: str, err: bool = False) -> None:
+    """Print ``text`` as one line and flush it, so a stream that refuses the
+    write raises here, inside the command, and not at the exit's last flush.
+    Prints nothing when the stream's descriptor was closed."""
+    stream = sys.stderr if err else sys.stdout
+    if stream is not None:  # print(file=None) would fall back to stdout
+        print(text, file=stream, flush=True)
+
+
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -75,26 +83,6 @@ def _write_or_exit(text: str, path: str) -> None:
         _fail(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
 
 
-@click.group()
-@click.version_option(__version__, prog_name="trolldetect")
-def main():
-    """Conflict-based troll detection for discussion threads."""
-
-
-@main.command()
-@click.option(
-    "--scenario",
-    # BUILTIN_SCENARIOS's keys, written out so that defining the command
-    # line imports no simulate; a test keeps the two equal.
-    type=click.Choice(("example1", "example2")),
-    default=None,
-    help="Use a built-in scenario.",
-)
-@click.option(
-    "--spec", "spec_path", default=None, help="Read a scenario JSON file."
-)
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
-@click.option("--out", "out_path", required=True, help="Thread JSON output path.")
 def simulate(scenario, spec_path, seed, out_path):
     """Generate a synthetic thread from a scenario."""
     if (scenario is None) == (spec_path is None):
@@ -115,17 +103,12 @@ def simulate(scenario, spec_path, seed, out_path):
         "seed": spec.seed,
     }
     _write_or_exit(_cli.thread_to_json(thread, meta), out_path)
-    click.echo(
+    _echo(
         f"wrote {len(thread.messages)} messages by {len(thread.users)} users "
         f"to {out_path}"
     )
 
 
-@main.command()
-@click.option("--thread", "thread_path", required=True, help="Thread JSON file.")
-@click.option(
-    "--json", "json_path", default=None, help="Also write a JSON report here."
-)
 def detect(thread_path, json_path):
     """Score a thread's users and split them into trolls and others."""
     thread = _load_or_exit(_cli.load_thread, thread_path, "thread")
@@ -153,7 +136,7 @@ def detect(thread_path, json_path):
         _write_or_exit(_cli._dumps(document), json_path)
     # One echo for the table: one per user took 17-25 ms at 5 000 users
     # (2 vCPUs).
-    click.echo("\n".join([
+    _echo("\n".join([
         "user conflict:",
         *(f"  {user:<8s} {value:.12f}" for user, value in report.per_user.items()),
         f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}",
@@ -161,10 +144,6 @@ def detect(thread_path, json_path):
     ]))
 
 
-@main.command("conflict")
-@click.option("--thread", "thread_path", required=True, help="Thread JSON file.")
-@click.option("--a", "rank_a", type=int, required=True, help="First message rank.")
-@click.option("--b", "rank_b", type=int, required=True, help="Second message rank.")
 def conflict_pair(thread_path, rank_a, rank_b):
     """Inspect the conflict between two messages of a thread."""
     thread = _load_or_exit(_cli.load_thread, thread_path, "thread")
@@ -173,12 +152,89 @@ def conflict_pair(thread_path, rank_a, rank_b):
         second = thread.message(rank_b)
     except BeliefError as exc:
         _fail(EXIT_INVALID, str(exc))
-    click.echo(f"message {rank_a} ({first.author}) vs message {rank_b} ({second.author})")
-    click.echo(f"  inclusion degree a in b: {_cli.inclusion_degree(first.bba, second.bba):.12f}")
-    click.echo(f"  inclusion degree b in a: {_cli.inclusion_degree(second.bba, first.bba):.12f}")
-    click.echo(f"  symmetric inclusion    : {_cli.symmetric_inclusion(first.bba, second.bba):.12f}")
-    click.echo(f"  distance               : {_cli.jousselme_distance(first.bba, second.bba):.12f}")
-    click.echo(f"  conflict               : {_cli.conflict(first.bba, second.bba):.12f}")
+    _echo(f"message {rank_a} ({first.author}) vs message {rank_b} ({second.author})")
+    _echo(f"  inclusion degree a in b: {_cli.inclusion_degree(first.bba, second.bba):.12f}")
+    _echo(f"  inclusion degree b in a: {_cli.inclusion_degree(second.bba, first.bba):.12f}")
+    _echo(f"  symmetric inclusion    : {_cli.symmetric_inclusion(first.bba, second.bba):.12f}")
+    _echo(f"  distance               : {_cli.jousselme_distance(first.bba, second.bba):.12f}")
+    _echo(f"  conflict               : {_cli.conflict(first.bba, second.bba):.12f}")
+
+
+class _Show(argparse.Action):
+    """``--help`` and ``--version``: print through ``_echo``, then exit 0.
+    argparse's own actions print to stderr when stdout is closed and
+    ignore a write that fails."""
+
+    def __init__(self, option_strings, dest, help, text=None):
+        super().__init__(option_strings, argparse.SUPPRESS, nargs=0, help=help)
+        self.text = text
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _echo(self.text or parser.format_help().rstrip("\n"))
+        parser.exit()
+
+
+# Each command's function; its docstring is the command's help.
+_COMMANDS = {"simulate": simulate, "detect": detect, "conflict": conflict_pair}
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command line: each command's options are the keyword parameters
+    of its function in ``_COMMANDS``."""
+
+    def new(add, **kwargs):
+        # No abbreviations (``--th`` is not ``--thread``), and no ``-h``.
+        parser = add(**kwargs, add_help=False, allow_abbrev=False)
+        parser.add_argument("--help", action=_Show, help="Show this message and exit.")
+        return parser
+
+    parser = new(argparse.ArgumentParser, prog=prog,
+                 description="Conflict-based troll detection for discussion threads.")
+    parser.add_argument("--version", action=_Show, help="Show the version and exit.",
+                        text=f"trolldetect, version {__version__}")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(name):
+        doc = _COMMANDS[name].__doc__
+        return new(commands.add_parser, name=name, help=doc, description=doc).add_argument
+
+    option = command("simulate")
+    # BUILTIN_SCENARIOS's keys, written out so that defining the command
+    # line imports no simulate; a test keeps the two equal.
+    option("--scenario", choices=("example1", "example2"), help="Use a built-in scenario.")
+    option("--spec", dest="spec_path", metavar="PATH", help="Read a scenario JSON file.")
+    option("--seed", type=int, metavar="N", help="Override the scenario seed.")
+    option("--out", dest="out_path", metavar="PATH", required=True, help="Thread JSON output path.")
+    option = command("detect")
+    option("--thread", dest="thread_path", metavar="PATH", required=True, help="Thread JSON file.")
+    option("--json", dest="json_path", metavar="PATH", help="Also write a JSON report here.")
+    option = command("conflict")
+    option("--thread", dest="thread_path", metavar="PATH", required=True, help="Thread JSON file.")
+    option("--a", dest="rank_a", type=int, metavar="RANK", required=True, help="First message rank.")
+    option("--b", dest="rank_b", type=int, metavar="RANK", required=True, help="Second message rank.")
+    return parser
+
+
+def main(args=None, prog_name="trolldetect", standalone_mode=True):
+    """Parse ``args`` (default ``sys.argv[1:]``) and run the command.  A
+    usage error exits 2, and a failed command exits with its own code.  On
+    success it exits 0, or returns 0 when ``standalone_mode`` is false."""
+    try:
+        options = vars(_parser(prog_name).parse_args(args))
+        _COMMANDS[options.pop("command")](**options)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+    if standalone_mode:
+        sys.exit(0)
+    return 0
+
+
+# click's in-process calling convention, which bench/run.py's traced mode
+# and click.testing.CliRunner use: ``main.main(args=..., prog_name=...)``
+# after reading ``main.name``.
+main.main = main
+main.name = "trolldetect"
 
 
 def run():
@@ -201,9 +257,13 @@ def run():
         main()
     except SystemExit as exc:
         leaving = exc
-    except OSError as exc:  # a standard stream refused a write; click owns EPIPE
+    except KeyboardInterrupt:  # Ctrl-C: no traceback
+        _echo("\nAborted!", err=True)
+        leaving = SystemExit(1)
+    except OSError as exc:  # a standard stream refused a write
         _drop_unwritable_stdout()
-        click.echo(f"error: cannot write output: {exc}", err=True)
+        if not isinstance(exc, BrokenPipeError):  # the reader left: exit quietly
+            _echo(f"error: cannot write output: {exc}", err=True)
         leaving = SystemExit(EXIT_IO)
     code = leaving.code
     if code is not None and not isinstance(code, int):

@@ -704,9 +704,9 @@ def _detect_in_process(path):
     return CliRunner().invoke(main, ["detect", "--thread", str(path)])
 
 
-# Each library entry point that decodes or builds a document, and the click
-# group run in-process: the text of the file it reads (None: it reads none),
-# the call, and what the call must end in (see _outcome).
+# Each library entry point that decodes or builds a document, and the CLI
+# run in-process by CliRunner: the text of the file it reads (None: it
+# reads none), the call, and what the call must end in (see _outcome).
 COLLECTOR_CASES = {
     "valid": (lambda: json.dumps(SAMPLE), load_thread, 0),
     "malformed": (lambda: MALFORMED_DOCUMENT, load_thread, InvalidThread),
