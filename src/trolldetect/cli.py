@@ -85,8 +85,6 @@ def _write_or_exit(text: str, path: str) -> None:
 
 def simulate(scenario, spec_path, seed, out_path):
     """Generate a synthetic thread from a scenario."""
-    if (scenario is None) == (spec_path is None):
-        _fail(EXIT_INVALID, "give exactly one of --scenario or --spec")
     if scenario is not None:
         spec = _cli.BUILTIN_SCENARIOS[scenario]()
     else:
@@ -196,19 +194,21 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
     def command(name):
         doc = _COMMANDS[name].__doc__
-        return new(commands.add_parser, name=name, help=doc, description=doc).add_argument
+        return new(commands.add_parser, name=name, help=doc, description=doc)
 
-    option = command("simulate")
+    simulate_command = command("simulate")
+    option = simulate_command.add_argument
+    source = simulate_command.add_mutually_exclusive_group(required=True).add_argument  # exactly one
     # BUILTIN_SCENARIOS's keys, written out so that defining the command
     # line imports no simulate; a test keeps the two equal.
-    option("--scenario", choices=("example1", "example2"), help="Use a built-in scenario.")
-    option("--spec", dest="spec_path", metavar="PATH", help="Read a scenario JSON file.")
+    source("--scenario", choices=("example1", "example2"), help="Use a built-in scenario.")
+    source("--spec", dest="spec_path", metavar="PATH", help="Read a scenario JSON file.")
     option("--seed", type=int, metavar="N", help="Override the scenario seed.")
     option("--out", dest="out_path", metavar="PATH", required=True, help="Thread JSON output path.")
-    option = command("detect")
+    option = command("detect").add_argument
     option("--thread", dest="thread_path", metavar="PATH", required=True, help="Thread JSON file.")
     option("--json", dest="json_path", metavar="PATH", help="Also write a JSON report here.")
-    option = command("conflict")
+    option = command("conflict").add_argument
     option("--thread", dest="thread_path", metavar="PATH", required=True, help="Thread JSON file.")
     option("--a", dest="rank_a", type=int, metavar="RANK", required=True, help="First message rank.")
     option("--b", dest="rank_b", type=int, metavar="RANK", required=True, help="Second message rank.")
@@ -246,7 +246,8 @@ def run():
     Runs the ``atexit`` handlers and flushes stdout and stderr, as CPython's
     own exit does first, then skips the rest (a last full collection and the
     unloading of every module, 13-25 ms a process on 2 vCPUs) with
-    ``os._exit``.  A failed flush or a code that is not an int exits as usual.
+    ``os._exit``, with the int code that every exit reaching it carries.  A
+    failed flush exits as usual.
     """
     # Before numpy's first import (inside a command): idle OpenBLAS workers
     # spin, which slowed a 90 ms numpy import to 160 ms on a 2-core host, and
@@ -265,9 +266,6 @@ def run():
         if not isinstance(exc, BrokenPipeError):  # the reader left: exit quietly
             _echo(f"error: cannot write output: {exc}", err=True)
         leaving = SystemExit(EXIT_IO)
-    code = leaving.code
-    if code is not None and not isinstance(code, int):
-        raise leaving
     atexit._run_exitfuncs()  # clears them, so a fallback exit runs none twice
     try:
         for stream in (sys.stdout, sys.stderr):
@@ -275,7 +273,7 @@ def run():
                 stream.flush()
     except (OSError, ValueError):
         raise leaving from None
-    os._exit(code or 0)
+    os._exit(leaving.code or 0)
 
 
 def _drop_unwritable_stdout() -> None:

@@ -149,19 +149,17 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     :func:`message_conflict`), the one scoring path of this module, plus
     counters of the run (messages, users, vocabulary size K, packing, pairs).
 
-    The thread is packed once into slot arrays: row ``i`` holds message
-    ``i``'s focal sets as bitmasks and their masses, padded up to the
-    largest focal count P; a slot is live when its index is below the bba's
-    focal count, which tells a genuine empty focal set (mask 0) from
-    padding.  The vocabulary packing (:func:`_vocabulary_packing`), derived
-    from those arrays on the K distinct focal sets, runs while the rule of
-    ``_VOCABULARY_RATIO``, read from K and P alone, holds; a generated
-    thread takes it.  A thread of mostly distinct bbas is scored on the slot
-    arrays themselves (:func:`_slot_packing`).  Per pair, each returns only
-    its two inclusion counts and its half quadratic form Q >= 0, taking the
-    mass difference first, so identical bbas give exactly 0; each refuses a
-    corrupt input whose form would go negative.  Thread validation already
-    guarantees a single frame.
+    The thread's focal sets stay flat lists in message order (masks, masses
+    and ``sizes``, the focal counts); the masses are listed in the call that
+    packs them, so no flat copy is held while the tiles run.  The vocabulary
+    packing (:func:`_vocabulary_packing`), on the K sorted distinct focal
+    sets, runs while the rule of ``_VOCABULARY_RATIO``, read from K and the
+    largest focal count P alone, holds; a generated thread takes it.  A
+    thread of mostly distinct bbas takes :func:`_slot_packing`, which pads
+    to P.  Per pair, each returns only its two inclusion counts and its half
+    quadratic form Q >= 0, taking the mass difference first, so identical
+    bbas give exactly 0; each refuses a corrupt input whose form would go
+    negative.  Thread validation already guarantees a single frame.
 
     Rows are scored in tiles: a tile holds consecutive requested rows and
     scores them against every message before its last row at once, in
@@ -174,17 +172,13 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     """
     messages = thread.messages
     sizes = np.array([len(m.bba) for m in messages])
-    live = np.arange(sizes.max()) < sizes[:, None]
     sets = [s for m in messages for s in m.bba.focal_sets()]
-    masks = np.zeros(live.shape, dtype=np.int64)
-    masks[live] = sets
-    masses = np.zeros(live.shape)
-    masses[live] = [v for m in messages for v in m.bba.masses()]
     vocabulary = sorted(set(sets))
     if len(vocabulary) ** 2 <= _VOCABULARY_RATIO * sizes.max() ** 2:
-        (score, per_pair), packing = _vocabulary_packing(vocabulary, masks, masses, live), "vocabulary"
+        pack, packing = _vocabulary_packing, "vocabulary"
     else:
-        (score, per_pair), packing = _slot_packing(masks, masses, live), "slots"
+        pack, packing = _slot_packing, "slots"
+    score, per_pair = pack(vocabulary, sets, [v for m in messages for v in m.bba.masses()], sizes)
     budget = max(1, _BLOCK_ENTRIES // per_pair)  # pairs per tile
     roster = {user: k for k, user in enumerate(thread.users)}
     authors = np.array([roster[m.author] for m in messages])
@@ -230,9 +224,10 @@ def _jaccard(x, y):
     return np.divide(np.bitwise_count(x & y), union, out=np.ones(union.shape), where=union > 0)
 
 
-def _vocabulary_packing(vocabulary, masks, masses, live):
+def _vocabulary_packing(vocabulary, sets, masses, sizes):
     """Tile scorer over per-message embeddings on the thread's K sorted
-    distinct focal sets, with its cost per pair: 8 pair-sized arrays.
+    distinct focal sets, with its cost per pair: 8 pair-sized arrays.  The
+    flat lists of :func:`_score_rows` go straight into the K x M masses.
 
     The K x K Jaccard matrix S is positive semi-definite (what makes
     Jousselme's distance a metric): one ``eigh``, eigenvalues clipped at 0,
@@ -244,19 +239,19 @@ def _vocabulary_packing(vocabulary, masks, masses, live):
     and N the inclusion matrix, the two inclusion counts are the exact
     integer products (F N) F^T and F (F N)^T.
     """
-    sets = np.array(vocabulary, dtype=np.int64)
-    eigenvalues, vectors = np.linalg.eigh(_jaccard(sets[:, None], sets[None, :]))
+    words = np.array(vocabulary, dtype=np.int64)
+    eigenvalues, vectors = np.linalg.eigh(_jaccard(words[:, None], words[None, :]))
     if eigenvalues[0] < -INTERNAL_TOLERANCE:
         raise ArithmeticError("quadratic form went negative; inputs are corrupt")
     root = vectors * np.sqrt(np.maximum(eigenvalues, 0.0) / 2.0)  # R, one row per focal set
 
-    matrix = np.zeros((sets.size, len(masks)))  # A^T, one row per focal set
-    matrix[np.searchsorted(sets, masks[live]), live.nonzero()[0]] = masses[live]
+    matrix = np.zeros((words.size, sizes.size))  # A^T, one row per focal set
+    matrix[np.searchsorted(words, sets), np.repeat(np.arange(sizes.size), sizes)] = masses
     embedded = np.zeros(matrix.shape)  # B = R^T A^T, one row per dimension
     for k, row in enumerate(matrix):
         embedded += root[k, :, None] * row
     focal = (matrix.T > 0.0).astype(float)
-    reach = focal @ ((sets[:, None] & sets[None, :]) == sets[:, None])  # F N: own sets inside each set
+    reach = focal @ ((words[:, None] & words[None, :]) == words[:, None])  # F N: own sets inside each set
 
     def score(rows, start, stop):
         squared = np.zeros((rows.size, stop - start))
@@ -270,21 +265,25 @@ def _vocabulary_packing(vocabulary, masks, masses, live):
     return score, 8
 
 
-def _slot_packing(masks, masses, live):
-    """Tile scorer over the slot arrays of :func:`_score_rows`, with its cost
-    per pair, (2P)^2 entries: a bound on the pair's P x P temporaries (cross
-    Jaccard block, inclusion tests) and its share of the row's and the
-    column's own P x P Jaccard blocks.  Each pair gets the two inclusion
-    counts over its live slot pairs and one half form 1/2 D^T S D, with D the
-    row's slots then the column's: half of each own block's form plus the
-    cross block's, each an unoptimised einsum, so the same bits in any tile;
-    clipped at 0 once none is below -``INTERNAL_TOLERANCE`` (corrupt input)."""
-    width = masks.shape[1]
+def _slot_packing(vocabulary, sets, masses, sizes):
+    """Tile scorer over slot arrays, with its cost per pair, (2P)^2 entries:
+    a bound on the pair's P x P temporaries (cross Jaccard block, inclusion
+    tests) and its share of the row's and the column's own P x P Jaccard
+    blocks.  Row ``i`` holds message ``i``'s masks and masses padded to P; a
+    slot is live when its index is below the bba's focal count, which tells
+    an empty focal set (mask 0) from padding.  Each pair gets the two
+    inclusion counts over its live slot pairs and one half form 1/2 D^T S D,
+    with D the row's slots then the column's: half of each own block's form
+    plus the cross block's, each an unoptimised einsum, so the same bits in
+    any tile; clipped at 0 once none is below -``INTERNAL_TOLERANCE``."""
+    live = np.arange(sizes.max()) < sizes[:, None]
+    masks, weights = np.zeros(live.shape, dtype=np.int64), np.zeros(live.shape)
+    masks[live], weights[live] = sets, masses  # weights: the padded masses
 
     def score(rows, start, stop):
         # Axes: row, column, then a slot of the row's bba, then the column's.
-        x, a, lx = masks[rows, None, :, None], masses[rows, None, :], live[rows, None, :, None]
-        y, b, ly = masks[None, start:stop, None, :], masses[None, start:stop], live[None, start:stop, None, :]
+        x, a, lx = masks[rows, None, :, None], weights[rows, None, :], live[rows, None, :, None]
+        y, b, ly = masks[None, start:stop, None, :], weights[None, start:stop], live[None, start:stop, None, :]
         pairs = lx & ly
         meet = x & y
         x_in_y = ((meet == x) & pairs).sum(axis=(2, 3))
@@ -302,4 +301,4 @@ def _slot_packing(masks, masses, live):
             raise ArithmeticError("quadratic form went negative; inputs are corrupt")
         return x_in_y, y_in_x, np.maximum(squared, 0.0)
 
-    return score, 4 * width * width
+    return score, 4 * live.shape[1] ** 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from trolldetect import (
     Frame,
     MassFunction,
+    belief,
     combine_conjunctive,
     combine_dempster,
     combine_disjunctive,
@@ -368,6 +369,17 @@ class TestJousselmeDistance:
     def test_frame_mismatch(self):
         with pytest.raises(FrameMismatch):
             jousselme_distance(M1, MassFunction.vacuous(Frame(["a", "c"])))
+
+    # {a: 1} against {b: 1} has the half form 1 - J(a, b): a similarity
+    # above 1, which no true Jaccard gives, drives it negative.
+    def test_negative_form_is_refused(self, monkeypatch):
+        monkeypatch.setattr(belief, "jaccard", lambda x, y: 10.0)
+        with pytest.raises(ArithmeticError, match=r"^quadratic form produced -9\.0; inputs are corrupt$"):
+            jousselme_distance(certain(AB, A), certain(AB, B))
+
+    def test_negative_form_within_tolerance_is_zero(self, monkeypatch):
+        monkeypatch.setattr(belief, "jaccard", lambda x, y: 1.0 + 1e-13)
+        assert jousselme_distance(certain(AB, A), certain(AB, B)) == 0.0
 
 
 class TestCombinationProperties:

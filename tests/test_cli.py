@@ -636,6 +636,9 @@ USAGE_ERRORS = {
     "unknown-scenario": (["simulate", "--scenario", "nope", "--out", "{out}"], "invalid choice: 'nope'"),
     "unknown-command": (["nope"], "invalid choice: 'nope'"),
     "no-command": ([], "required: command"),
+    "neither-scenario-nor-spec": (["simulate", "--out", "{out}"], "--scenario --spec is required"),
+    "scenario-and-spec": (["simulate", "--scenario", "example1", "--spec", "{file}", "--out", "{out}"],
+                          "not allowed with argument --scenario"),
 }
 
 
