@@ -59,6 +59,4 @@ def __dir__():
 # belief and errors come with it and hold no dataclasses.
 from . import errors  # noqa: E402
 
-for _name in (*_EXPORTS["belief"], *_EXPORTS["conflict"]):
-    __getattr__(_name)
-del _name
+__getattr__("conflict")

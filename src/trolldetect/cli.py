@@ -92,7 +92,10 @@ def simulate(scenario, spec_path, seed, out_path):
     if seed is not None:
         from dataclasses import replace
 
-        spec = replace(spec, seed=seed)
+        try:
+            spec = replace(spec, seed=seed)
+        except BeliefError as exc:
+            _fail(EXIT_INVALID, f"--seed {seed} is not valid: {exc}")
     thread = _cli.generate(spec)
     meta = {
         "tool": "trolldetect",

@@ -145,7 +145,7 @@ _VOCABULARY_RATIO = 128
 
 
 def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict[str, Any]]:
-    """Flat-mean conflict of each message at ``ranks`` (see
+    """Flat-mean conflict of each message at ``ranks``, which ascend (see
     :func:`message_conflict`), the one scoring path of this module, plus
     counters of the run (messages, users, vocabulary size K, packing, pairs).
 
@@ -188,11 +188,10 @@ def _score_rows(thread: Thread, ranks: Iterable[int]) -> tuple[list[float], dict
     pairs = 0
     first = 0
     while first < len(rows):
-        last, columns = first + 1, rows[first]
-        while last < len(rows) and (last + 1 - first) * max(columns, rows[last]) <= budget:
-            columns = max(columns, rows[last])
+        last = first + 1
+        while last < len(rows) and (last + 1 - first) * rows[last] <= budget:
             last += 1
-        tile = np.array(rows[first:last])
+        tile, columns = np.array(rows[first:last]), rows[last - 1]
         step = max(1, budget // tile.size)
         values = np.empty((tile.size, columns))
         for start in range(0, columns, step):

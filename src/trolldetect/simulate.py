@@ -100,6 +100,8 @@ class ScenarioSpec:
             raise InvalidSpec(str(exc)) from None
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:  # random.Random(-n) draws as random.Random(n) does
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         for uid, role in self.users:
             if not isinstance(role, str) or role not in ROLES:  # ["x"] is unhashable
                 raise InvalidSpec(f"unknown role {role!r} for {uid!r}")

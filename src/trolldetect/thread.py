@@ -87,7 +87,7 @@ class MessageFrame:
 
     topic_count: int
     relevant_topic: int
-    _frame: Frame = field(init=False, repr=False, compare=False)
+    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("topic_count", "relevant_topic"):
@@ -107,22 +107,18 @@ class MessageFrame:
             )
         labels = [OFF_TOPIC, SENSELESS]
         labels += [topic_label(j) for j in range(1, self.topic_count + 1)]
-        object.__setattr__(self, "_frame", Frame(labels))
-
-    @property
-    def frame(self) -> Frame:
-        return self._frame
+        object.__setattr__(self, "frame", Frame(labels))
 
     def off_topic_set(self) -> int:
-        return self._frame.singleton(OFF_TOPIC)
+        return self.frame.singleton(OFF_TOPIC)
 
     def senseless_set(self) -> int:
-        return self._frame.singleton(SENSELESS)
+        return self.frame.singleton(SENSELESS)
 
     def topic_set(self, index: int) -> int:
         if not 1 <= index <= self.topic_count:
             raise InvalidThread(f"topic {index} outside 1..{self.topic_count}")
-        return self._frame.singleton(topic_label(index))
+        return self.frame.singleton(topic_label(index))
 
     def relevant_set(self) -> int:
         return self.topic_set(self.relevant_topic)
@@ -302,19 +298,11 @@ def thread_to_json(thread: Thread, meta: Any = None) -> str:
 
 
 def thread_to_dict(thread: Thread) -> dict[str, Any]:
-    """JSON object form of a thread, equal to ``thread_to_json``'s text
-    decoded.  Built directly, it shares label strings and masses with the
-    thread; through ``json.loads`` a bulk document takes half again as much
-    memory."""
+    """JSON object form of a thread, transcribed plainly: the reference the
+    tests hold ``thread_to_json``'s decoded text to.  Built directly, it
+    shares label strings and masses with the thread; through ``json.loads``
+    a bulk document takes half again as much memory."""
     frame = thread.frame.frame
-    members: dict[int, tuple[str, ...]] = {}  # mask -> labels, one lookup per mask
-
-    def entry(subset: int, mass: float) -> dict[str, Any]:
-        labels = members.get(subset)
-        if labels is None:
-            labels = members[subset] = frame.members(subset)
-        return {"set": list(labels), "mass": mass}
-
     return {
         "topic_count": thread.frame.topic_count,
         "relevant_topic": thread.frame.relevant_topic,
@@ -323,7 +311,7 @@ def thread_to_dict(thread: Thread) -> dict[str, Any]:
             {
                 "rank": msg.rank,
                 "author": msg.author,
-                "bba": [entry(s, m) for s, m in msg.bba.items()],
+                "bba": [{"set": list(frame.members(s)), "mass": m} for s, m in msg.bba.items()],
             }
             for msg in thread.messages
         ],

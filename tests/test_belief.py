@@ -73,6 +73,13 @@ class TestFrame:
         assert Frame(["a", "b"]) == Frame(["a", "b"])
         assert Frame(["a", "b"]) != Frame(["b", "a"])
 
+    def test_equal_frames_hash_equal_and_differ_from_their_labels(self):
+        one, other = Frame(["a", "b"]), Frame(["a", "b"])
+        assert hash(one) == hash(other)
+        assert {one: "x"}[other] == "x" and {other: "x"}[one] == "x"
+        assert other in {one} and one in {other}
+        assert one != ("a", "b") and ("a", "b") != one
+
     def test_unknown_label_rejected(self):
         with pytest.raises(InvalidSubset):
             AB.subset(["nope"])
@@ -95,6 +102,10 @@ class TestMassFunction:
         assert len(m) == 2
         assert m.mass(A) == 0.6
         assert m.mass(B) == 0.0
+
+    def test_unequal_to_its_dict(self):
+        m = MassFunction(AB, [(A, 0.6), (OMEGA, 0.4)])
+        assert m != m.to_dict() and m.to_dict() != m
 
     def test_sum_above_one_rejected(self):
         with pytest.raises(SumNotOne):

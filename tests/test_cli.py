@@ -187,8 +187,9 @@ class TestSimulate:
             ({"concentration": 0.7}, "concentration must be a (lo, hi) pair"),
             ({"pins": [1, 2]}, "pins entry 0 must be an object"),
             ({"users": [{"id": "U1"}]}, "users entry 0 missing key 'role'"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
-        ids=["concentration-not-a-pair", "pin-not-an-object", "user-without-role"],
+        ids=["concentration-not-a-pair", "pin-not-an-object", "user-without-role", "negative-seed"],
     )
     def test_malformed_spec_exits_2_with_its_own_text(self, runner, tmp_path, change, text):
         spec_path, out = tmp_path / "spec.json", tmp_path / "o.json"
@@ -226,6 +227,15 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 2
+
+    def test_negative_seed_exits_2_with_one_error_line(self, runner, tmp_path):
+        # random.Random(-5) draws as random.Random(5) does: -5 would write 5's thread.
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, ["simulate", "--scenario", "example1", "--seed", "-5", "--out", str(out)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: --seed -5 is not valid: seed must be >= 0, got -5\n"
+        assert not out.exists()
 
     def test_unwritable_out_is_io_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -56,6 +56,7 @@ class TestValidation:
             ({"script": ()}, "empty script"),
             ({"topic_count": True}, "topic_count must be an integer"),
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
             (
                 {"users": (("A", "expert"),), "script": (ScriptEntry("A", "relevant"),)},
                 "the roster needs at least two users",
@@ -104,6 +105,7 @@ class TestValidation:
             "empty-script",
             "bool-topic-count",
             "string-seed",
+            "negative-seed",
             "one-user",
             "duplicate-ids",
             "unknown-category",

@@ -8,6 +8,7 @@ import random
 import stat
 import sys
 import threading
+from dataclasses import fields
 from types import MappingProxyType
 
 import numpy as np
@@ -67,6 +68,15 @@ class TestMessageFrame:
     def test_labels(self):
         assert MF.frame.labels == ("Off-topic", "Senseless", "Topic_1", "Topic_2")
         assert len(MF.frame) == MF.topic_count + 2
+
+    def test_frame_is_read_only_and_outside_repr_eq_and_hash(self):
+        with pytest.raises(AttributeError):
+            MF.frame = MF.frame
+        assert repr(MF) == "MessageFrame(topic_count=2, relevant_topic=1)"
+        assert [f.name for f in fields(MessageFrame) if f.compare] == ["topic_count", "relevant_topic"]
+        same, other = MessageFrame(topic_count=2, relevant_topic=1), MessageFrame(topic_count=2, relevant_topic=2)
+        assert same == MF and hash(same) == hash(MF) == hash((2, 1))
+        assert other != MF and other.frame == MF.frame
 
     def test_category_sets_are_singletons(self):
         assert MF.off_topic_set() == 0b0001
