@@ -12,7 +12,6 @@ import json
 import operator
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
@@ -77,36 +76,69 @@ def _check_roster(users: tuple, authors: list) -> None:
         raise InvalidThread(f"{len(silent)} users never post, first {silent[0]!r}")
 
 
-@dataclass(frozen=True)
-class MessageFrame:
+class _Frozen:
+    """What a frozen dataclass would give the thread's value classes, without
+    importing ``dataclasses`` (and ``inspect`` through it) into every
+    command.  Fields are set once, in ``__init__``; ``==``, ``hash``,
+    ``repr`` and pickling read the fields named in ``__match_args__``, so a
+    field left out of it, such as ``MessageFrame.frame``, is derived."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+
+class MessageFrame(_Frozen):
     """Frame for message evidence: Off-topic, Senseless, and N topics.
 
     ``relevant_topic`` names the topic the thread is actually about; every
-    other topic counts as a controversy topic.
+    other topic counts as a controversy topic.  ``frame`` is the ``Frame``
+    over those labels, outside ``repr``, ``==`` and ``hash``.
     """
 
-    topic_count: int
-    relevant_topic: int
-    frame: Frame = field(init=False, repr=False, compare=False)
+    __slots__ = ("topic_count", "relevant_topic", "frame")
+    __match_args__ = ("topic_count", "relevant_topic")
 
-    def __post_init__(self):
-        for key in ("topic_count", "relevant_topic"):
-            value = getattr(self, key)
+    def __init__(self, topic_count: int, relevant_topic: int):
+        for key, value in (("topic_count", topic_count), ("relevant_topic", relevant_topic)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidThread(f"{key} must be an integer")
-        if self.topic_count < 1:
-            raise InvalidThread(f"topic_count must be >= 1, got {self.topic_count}")
-        if self.topic_count > _MAX_TOPICS:
+        if topic_count < 1:
+            raise InvalidThread(f"topic_count must be >= 1, got {topic_count}")
+        if topic_count > _MAX_TOPICS:
             raise InvalidThread(
-                f"topic_count {self.topic_count} exceeds {_MAX_TOPICS} "
+                f"topic_count {topic_count} exceeds {_MAX_TOPICS} "
                 f"(frame capped at {MAX_FRAME_SIZE})"
             )
-        if not 1 <= self.relevant_topic <= self.topic_count:
-            raise InvalidThread(
-                f"relevant_topic {self.relevant_topic} outside 1..{self.topic_count}"
-            )
+        if not 1 <= relevant_topic <= topic_count:
+            raise InvalidThread(f"relevant_topic {relevant_topic} outside 1..{topic_count}")
         labels = [OFF_TOPIC, SENSELESS]
-        labels += [topic_label(j) for j in range(1, self.topic_count + 1)]
+        labels += [topic_label(j) for j in range(1, topic_count + 1)]
+        object.__setattr__(self, "topic_count", topic_count)
+        object.__setattr__(self, "relevant_topic", relevant_topic)
         object.__setattr__(self, "frame", Frame(labels))
 
     def off_topic_set(self) -> int:
@@ -129,34 +161,48 @@ class MessageFrame:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(_Frozen):
     """One post: author, 1-based thread position, and its evidence."""
 
-    author: str
-    rank: int
-    bba: MassFunction
+    __slots__ = __match_args__ = ("author", "rank", "bba")
+
+    def __init__(self, author: str, rank: int, bba: MassFunction):
+        object.__setattr__(self, "author", author)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "bba", bba)
 
 
-@dataclass(frozen=True)
-class Thread:
+class Thread(_Frozen):
     """A validated discussion thread.
 
-    The roster passes ``_check_roster``, ranks must be exactly the ints
-    1..M, and every message uses the thread's frame.  Its bbas' equal
-    ``focal_sets()`` tuples are then one shared tuple per distinct pattern.
+    ``frame`` must be a ``MessageFrame``, ``users`` and ``messages``
+    iterables, and every message a ``Message`` whose bba is a
+    ``MassFunction`` over the thread's frame.  The roster then passes
+    ``_check_roster`` and ranks must be exactly the ints 1..M.  Its bbas'
+    equal ``focal_sets()`` tuples are one shared tuple per distinct pattern.
     """
 
-    frame: MessageFrame
-    users: tuple[str, ...]
-    messages: tuple[Message, ...]
+    __slots__ = __match_args__ = ("frame", "users", "messages")
 
-    def __post_init__(self):
-        users, messages = tuple(self.users), tuple(self.messages)
+    def __init__(self, frame: MessageFrame, users: tuple[str, ...], messages: tuple[Message, ...]):
+        if not isinstance(frame, MessageFrame):
+            raise InvalidThread(f"frame must be a MessageFrame, got {frame!r:.80}")
+        try:
+            users, messages = tuple(users), tuple(messages)
+        except TypeError:
+            raise InvalidThread("users and messages must each be an iterable") from None
         try:
             messages = tuple(sorted(messages, key=attrgetter("rank")))
-        except TypeError:  # ranks that do not compare, such as "1" and 2
-            pass  # the rank check below reports them
+        except (TypeError, AttributeError):  # ranks that do not compare, or no rank
+            pass  # the checks below report them
+        labels = frame.frame
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # focal sets -> the one kept
+        for msg in messages:
+            if not (isinstance(msg, Message) and isinstance(bba := msg.bba, MassFunction)):
+                raise InvalidThread(f"messages must be Messages holding a MassFunction, got {msg!r:.80}")
+            if bba.frame is not labels and bba.frame != labels:
+                raise InvalidThread(f"message {msg.rank} uses a different frame than the thread")
+            bba._share_sets(shared)
         _check_roster(users, [msg.author for msg in messages])
         misplaced = [
             (p, m.rank)
@@ -169,12 +215,7 @@ class Thread:
                 f"ranks must be exactly 1..{len(messages)} with no gaps: "
                 f"{len(misplaced)} out of place, first rank {rank!r} at position {position}"
             )
-        frame = self.frame.frame
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # focal sets -> the one kept
-        for msg in messages:
-            if msg.bba.frame is not frame and msg.bba.frame != frame:
-                raise InvalidThread(f"message {msg.rank} uses a different frame than the thread")
-            msg.bba._share_sets(shared)
+        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "messages", messages)
 

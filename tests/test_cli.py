@@ -599,14 +599,16 @@ except SystemExit as exc:
 print(json.dumps(sorted(sys.modules)))
 """
 SCORING = {"trolldetect.pipeline", "trolldetect.clustering", "numpy"}
+DATACLASSES = {"dataclasses", "inspect"}  # inspect comes with dataclasses, and with numpy
 
 
 @pytest.mark.parametrize(
     "args, unloaded",
     [
-        (["--version"], SCORING | {"trolldetect.thread", "trolldetect.simulate", "click"}),
-        (["--help"], SCORING | {"trolldetect.thread", "trolldetect.simulate", "click"}),
-        (["conflict", "--thread", "{file}", "--a", "5", "--b", "1"], SCORING | {"trolldetect.simulate", "click"}),
+        (["--version"], SCORING | DATACLASSES | {"trolldetect.thread", "trolldetect.simulate", "click"}),
+        (["--help"], SCORING | DATACLASSES | {"trolldetect.thread", "trolldetect.simulate", "click"}),
+        (["conflict", "--thread", "{file}", "--a", "5", "--b", "1"],
+         SCORING | DATACLASSES | {"trolldetect.simulate", "click"}),
         (["simulate", "--scenario", "example1", "--out", "{out}"], SCORING - {"numpy"} | {"click"}),
         (["detect", "--thread", "{file}"], {"trolldetect.simulate", "click"}),
     ],

@@ -1,15 +1,16 @@
 """Thread data model and its JSON file format."""
 
+import copy
 import enum
 import gc
 import json
 import os
+import pickle
 import random
 import stat
 import sys
 import threading
-from dataclasses import fields
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from trolldetect import (
     analyze,
     example1,
     generate,
+    Frame,
     MassFunction,
     Message,
     MessageFrame,
@@ -73,10 +75,15 @@ class TestMessageFrame:
         with pytest.raises(AttributeError):
             MF.frame = MF.frame
         assert repr(MF) == "MessageFrame(topic_count=2, relevant_topic=1)"
-        assert [f.name for f in fields(MessageFrame) if f.compare] == ["topic_count", "relevant_topic"]
+        assert MessageFrame.__match_args__ == ("topic_count", "relevant_topic")
         same, other = MessageFrame(topic_count=2, relevant_topic=1), MessageFrame(topic_count=2, relevant_topic=2)
         assert same == MF and hash(same) == hash(MF) == hash((2, 1))
         assert other != MF and other.frame == MF.frame
+        assert MessageFrame(topic_count=3, relevant_topic=1) != MF
+        # A frame swapped behind the class's back changes neither repr, == nor hash.
+        swapped = MessageFrame(topic_count=2, relevant_topic=1)
+        object.__setattr__(swapped, "frame", Frame(["a", "b"]))
+        assert (repr(swapped), swapped, hash(swapped)) == (repr(MF), MF, hash(MF))
 
     def test_category_sets_are_singletons(self):
         assert MF.off_topic_set() == 0b0001
@@ -183,6 +190,35 @@ class TestThreadValidation:
         with pytest.raises(InvalidThread):
             Thread(frame=MF, users=("U1",), messages=(msg("U1", 1),))
 
+    @pytest.mark.parametrize("frame", [MF.frame, None, (2, 1)], ids=["Frame", "None", "tuple"])
+    def test_frame_that_is_not_a_message_frame_rejected(self, frame):
+        with pytest.raises(InvalidThread, match="^frame must be a MessageFrame, got "):
+            Thread(frame=frame, users=("U1", "U2"), messages=(msg("U1", 1), msg("U2", 2)))
+
+    @pytest.mark.parametrize("key", ["users", "messages"])
+    @pytest.mark.parametrize("value", [5, None], ids=["int", "None"])
+    def test_users_or_messages_that_do_not_iterate_rejected(self, key, value):
+        fields = {"frame": MF, "users": ("U1", "U2"), "messages": (msg("U1", 1), msg("U2", 2)), key: value}
+        with pytest.raises(InvalidThread, match="^users and messages must each be an iterable$"):
+            Thread(**fields)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"author": "U2", "rank": 2, "bba": None},
+            SimpleNamespace(author="U2", rank=2, bba=certain(MF.relevant_set())),
+            Message("U2", 2, {MF.relevant_set(): 1.0}),
+            Message("U2", 2, None),
+        ],
+        ids=["dict", "look-alike", "bba-dict", "bba-None"],
+    )
+    def test_message_that_is_not_a_message_with_a_mass_function_rejected(self, bad):
+        for messages in ((msg("U1", 1), bad), (bad, msg("U1", 1))):
+            with pytest.raises(InvalidThread) as err:
+                Thread(frame=MF, users=("U1", "U2"), messages=messages)
+            assert str(err.value).startswith("messages must be Messages holding a MassFunction, got ")
+            assert len(str(err.value)) < 200
+
     def test_foreign_frame_rejected(self):
         other = MessageFrame(topic_count=3, relevant_topic=1)
         bad = Message(author="U2", rank=2, bba=MassFunction.vacuous(other.frame))
@@ -218,6 +254,76 @@ class TestThreadValidation:
         t = Thread(frame=MF, users=("U1", "U2"), messages=(msg("U1", 1), msg("U2", 2)))
         with pytest.raises(UnknownUser):
             t.ranks_by("U9")
+
+
+# Each value class, its fields by keyword, and its repr, which matches the
+# frozen dataclass each class was before byte for byte.
+VALUE_CLASSES = {
+    "MessageFrame": (
+        MessageFrame,
+        {"topic_count": 2, "relevant_topic": 1},
+        "MessageFrame(topic_count=2, relevant_topic=1)",
+    ),
+    "Message": (
+        Message,
+        {"author": "U1", "rank": 1, "bba": certain(MF.relevant_set())},
+        "Message(author='U1', rank=1, bba=MassFunction({Topic_1}: 1))",
+    ),
+    "Thread": (
+        Thread,
+        {"frame": MF, "users": ("U1", "U2"), "messages": (msg("U1", 1), msg("U2", 2))},
+        "Thread(frame=MessageFrame(topic_count=2, relevant_topic=1), users=('U1', 'U2'), messages=("
+        "Message(author='U1', rank=1, bba=MassFunction({Topic_1}: 1)), "
+        "Message(author='U2', rank=2, bba=MassFunction({Topic_1}: 1))))",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls, values, text", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
+class TestValueClassContract:
+    """The frozen-dataclass behaviour ``MessageFrame``, ``Message`` and
+    ``Thread`` keep as plain slotted classes."""
+
+    def test_construction_by_position_and_by_keyword(self, cls, values, text):
+        by_keyword, by_position = cls(**values), cls(*values.values())
+        assert by_keyword == by_position
+        for obj in (by_keyword, by_position):
+            assert tuple(getattr(obj, name) for name in values) == tuple(values.values())
+        assert cls.__match_args__ == tuple(values)
+
+    def test_equal_only_to_the_same_class(self, cls, values, text):
+        obj = cls(**values)
+        sub = type("Sub", (cls,), {"__slots__": ()})(**values)
+        assert obj == cls(**values) and not obj != cls(**values)
+        for stranger in (sub, tuple(values.values()), SimpleNamespace(**values)):
+            assert obj != stranger and stranger != obj
+            assert obj.__eq__(stranger) is NotImplemented
+
+    def test_hash(self, cls, values, text):
+        obj = cls(**values)
+        if cls is MessageFrame:
+            assert hash(obj) == hash(cls(**values)) == hash((2, 1))
+        else:
+            with pytest.raises(TypeError, match="unhashable type: 'MassFunction'"):
+                hash(obj)
+
+    def test_repr_matches_the_dataclass_repr(self, cls, values, text):
+        assert repr(cls(**values)) == text
+
+    def test_every_field_is_read_only_and_there_is_no_instance_dict(self, cls, values, text):
+        obj = cls(**values)
+        for name in (*cls.__slots__, "extra"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+                delattr(obj, name)
+        assert repr(obj) == text
+        assert not hasattr(obj, "__dict__")
+
+    def test_copies_and_pickle_round_trip_equal(self, cls, values, text):
+        obj = cls(**values)
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is cls and clone == obj and repr(clone) == text
 
 
 def _values(messages):
