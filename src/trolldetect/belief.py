@@ -49,13 +49,50 @@ INTERNAL_TOLERANCE = 1e-12
 MAX_FRAME_SIZE = 16
 
 
-class Frame:
+class _Frozen:
+    """What a frozen dataclass would give the package's value classes, without
+    importing ``dataclasses`` (and ``inspect`` through it) into every
+    command.  Fields are set once, in ``__init__``; ``==``, ``hash``,
+    ``repr`` and pickling read the fields named in ``__match_args__``, so a
+    field left out of it, such as ``MessageFrame.frame``, is derived."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+
+class Frame(_Frozen):
     """An ordered frame of discernment: named, mutually exclusive hypotheses.
 
-    Immutable after construction and safe to share between threads.
+    Immutable after construction and safe to share between threads;
+    ``full_set`` is the bitmask of the whole frame.
     """
 
-    __slots__ = ("_labels", "_positions", "_full")
+    __slots__ = ("labels", "full_set", "_positions")
+    __match_args__ = ("labels",)
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(labels)
@@ -72,32 +109,15 @@ class Frame:
             if label in positions:
                 raise ValueError(f"duplicate hypothesis name {label!r}")
             positions[label] = i
-        self._labels = labels
-        self._positions = positions
-        self._full = (1 << len(labels)) - 1
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
-    def full_set(self) -> int:
-        """Bitmask of the whole frame."""
-        return self._full
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "full_set", (1 << len(labels)) - 1)
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
-        return len(self._labels)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self._labels == other._labels
-
-    def __hash__(self) -> int:
-        return hash(self._labels)
+        return len(self.labels)
 
     def __repr__(self) -> str:
-        return f"Frame({list(self._labels)!r})"
+        return f"Frame({list(self.labels)!r})"
 
     def subset(self, members: Iterable[str]) -> int:
         """Bitmask for the subset holding the given hypothesis names."""
@@ -118,19 +138,19 @@ class Frame:
         """Hypothesis names of a subset, in frame order."""
         self.check_subset(subset)
         return tuple(
-            label for i, label in enumerate(self._labels) if subset >> i & 1
+            label for i, label in enumerate(self.labels) if subset >> i & 1
         )
 
     def check_subset(self, subset: int) -> None:
-        if not isinstance(subset, int) or subset < 0 or subset > self._full:
+        if not isinstance(subset, int) or subset < 0 or subset > self.full_set:
             raise InvalidSubset(
                 f"subset {subset!r} is not a valid mask for a frame of size "
-                f"{len(self._labels)}"
+                f"{len(self.labels)}"
             )
 
     def subsets(self) -> range:
         """All subset masks, empty set through full frame."""
-        return range(self._full + 1)
+        return range(self.full_set + 1)
 
 
 class MassFunction:
@@ -161,7 +181,7 @@ class MassFunction:
     ):
         if type(assignments) is not list and isinstance(assignments, Mapping):
             assignments = assignments.items()
-        full = frame._full
+        full = frame.full_set
         sets: list[int] = []
         masses: list[float] = []
         largest = -1  # the largest subset so far: a larger one is new
@@ -269,7 +289,7 @@ def _real_mass(mass: object, subset: int) -> float:
 
 
 def _require_same_frame(m1: MassFunction, m2: MassFunction) -> None:
-    if m1.frame != m2.frame:
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise FrameMismatch(f"{m1.frame!r} vs {m2.frame!r}")
 
 

@@ -58,6 +58,18 @@ def _echo(text: str, err: bool = False) -> None:
         print(text, file=stream, flush=True)
 
 
+def _shown(uid: str) -> str:
+    r"""A user id as stdout prints it: plain when it is ASCII and holds no
+    ``"`` or ``\``, else as ``json.dumps`` writes it (``"\u054d3"``).  So
+    any stdout encoding can print it, two ids never print alike, and no id
+    prints as a plain ASCII id it is not."""
+    if uid.isascii() and '"' not in uid and "\\" not in uid:
+        return uid
+    import json
+
+    return json.dumps(uid)
+
+
 def _fail(code: int, message: str):
     _echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -139,9 +151,9 @@ def detect(thread_path, json_path):
     # (2 vCPUs).
     _echo("\n".join([
         "user conflict:",
-        *(f"  {user:<8s} {value:.12f}" for user, value in report.per_user.items()),
-        f"trolls (center {report.troll_center:.12f}): {' '.join(summary['trolls'])}",
-        f"others (center {report.other_center:.12f}): {' '.join(summary['others'])}",
+        *(f"  {_shown(user):<8s} {value:.12f}" for user, value in report.per_user.items()),
+        f"trolls (center {report.troll_center:.12f}): {' '.join(map(_shown, summary['trolls']))}",
+        f"others (center {report.other_center:.12f}): {' '.join(map(_shown, summary['others']))}",
     ]))
 
 
@@ -153,7 +165,7 @@ def conflict_pair(thread_path, rank_a, rank_b):
         second = thread.message(rank_b)
     except BeliefError as exc:
         _fail(EXIT_INVALID, str(exc))
-    _echo(f"message {rank_a} ({first.author}) vs message {rank_b} ({second.author})")
+    _echo(f"message {rank_a} ({_shown(first.author)}) vs message {rank_b} ({_shown(second.author)})")
     _echo(f"  inclusion degree a in b: {_cli.inclusion_degree(first.bba, second.bba):.12f}")
     _echo(f"  inclusion degree b in a: {_cli.inclusion_degree(second.bba, first.bba):.12f}")
     _echo(f"  symmetric inclusion    : {_cli.symmetric_inclusion(first.bba, second.bba):.12f}")

@@ -22,7 +22,7 @@ groups and labels the higher-centered group as trolls.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 from typing import Any
 
@@ -59,7 +59,7 @@ class ConflictReport:
     others: frozenset[str]
     troll_center: float
     other_center: float
-    scoring: dict[str, Any] = field(default_factory=dict)
+    scoring: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
         roster = list(self.per_user)

@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
-from .belief import MAX_FRAME_SIZE, Frame, MassFunction
+from .belief import MAX_FRAME_SIZE, Frame, MassFunction, _Frozen
 from .errors import BeliefError, InvalidThread, RankOutOfBounds, UnknownUser
 
 __all__ = [
@@ -74,41 +74,6 @@ def _check_roster(users: tuple, authors: list) -> None:
     if len(posted) != len(roster):
         silent = [uid for uid in users if uid not in posted]
         raise InvalidThread(f"{len(silent)} users never post, first {silent[0]!r}")
-
-
-class _Frozen:
-    """What a frozen dataclass would give the thread's value classes, without
-    importing ``dataclasses`` (and ``inspect`` through it) into every
-    command.  Fields are set once, in ``__init__``; ``==``, ``hash``,
-    ``repr`` and pickling read the fields named in ``__match_args__``, so a
-    field left out of it, such as ``MessageFrame.frame``, is derived."""
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._astuple()
 
 
 class MessageFrame(_Frozen):

@@ -1,10 +1,11 @@
 """Shared generators for randomized tests (seeded and hypothesis-based),
 the scenario document writer the spec tests use, and fresh-interpreter
-runners."""
+runners, and the bench's thread generators."""
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import math
 import os
 import random
@@ -53,6 +54,15 @@ CLI_NAMES = (
     "conflict", "inclusion_degree", "symmetric_inclusion", "jousselme_distance",
     "write_json_atomic", "_dumps", "GENERATOR_ID", "load_spec",
 )
+
+
+def bench_workloads():
+    """The bench's seeded thread generators, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_python(script, *args):

@@ -386,10 +386,15 @@ def test_any_json_document_exits_2_unless_it_is_a_spec(doc):
 @example(1, "U4", "U1 U2")
 @example(1, "U4", "U1\u00a0U2")
 @example(1, "U4", "U3\u200b")
+@example(1, "U4", "\u054d3")
+@example(1, "U4", '"U3"')
+@example(1, "U4", "U\\3")
 def test_an_accepted_id_prints_as_one_token(seed, renamed, uid):
     """Whatever a user is renamed to, either both thread commands refuse the
-    file with one error line, or every table row splits into its id and
-    score and the trolls and others lines into the report's lists."""
+    file with one error line, or every table row splits into its id's token
+    and score and the trolls and others lines into the report's lists.  A
+    token is ASCII and reads back as its id (``json.loads`` when quoted),
+    and distinct ids give distinct tokens."""
     document = thread_to_dict(generate(replace(example1(), seed=seed)))
     document["users"] = [uid if u == renamed else u for u in document["users"]]
     for message in document["messages"]:
@@ -407,12 +412,46 @@ def test_an_accepted_id_prints_as_one_token(seed, renamed, uid):
             return
         assert (detect.exit_code, pair.exit_code) == (0, 0), detect.output
         report = json.loads(report_path.read_text())["report"]
+
+    def read(token):
+        assert token.isascii()
+        return json.loads(token) if token.startswith('"') else token
+
     _, *rows, trolls, others = detect.stdout.splitlines()
-    assert [row.split() for row in rows] == [
+    rows = [row.split() for row in rows]
+    assert [[read(token), *rest] for token, *rest in rows] == [
         [user, f"{score:.12f}"] for user, score in report["per_user"].items()
     ]
-    assert trolls.split("): ", 1)[1].split() == report["trolls"]
-    assert others.split("): ", 1)[1].split() == report["others"]
+    shown = {user: row[0] for user, row in zip(report["per_user"], rows)}
+    assert len(set(shown.values())) == len(shown)
+    assert [read(t) for t in trolls.split("): ", 1)[1].split()] == report["trolls"]
+    assert [read(t) for t in others.split("): ", 1)[1].split()] == report["others"]
+    first, second = (message["author"] for message in document["messages"][:2])
+    assert pair.stdout.splitlines()[0] == f"message 1 ({shown[first]}) vs message 2 ({shown[second]})"
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [(["detect"], '\n  "\\u054d3" 0.'),
+     (["conflict", "--a", "5", "--b", "1"], 'message 5 ("\\u054d3") vs message 1 (U3)\n')],
+    ids=["detect", "conflict"],
+)
+def test_a_non_ascii_id_prints_escaped_on_an_ascii_stdout(tmp_path, command, expected):
+    """Example1 with U4 renamed to Armenian "\u054d3" (U+054D), a look-alike
+    of U3: the console process prints it as its JSON string, which an ASCII
+    stdout can write and no reader takes for U3."""
+    document = thread_to_dict(generate(example1()))
+    document["users"] = ["\u054d3" if u == "U4" else u for u in document["users"]]
+    for message in document["messages"]:
+        message["author"] = "\u054d3" if message["author"] == "U4" else message["author"]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(document))
+    proc = run_interpreter(
+        ["-m", "trolldetect", command[0], "--thread", str(path), *command[1:]],
+        env={"PYTHONIOENCODING": "ascii"}, capture_output=True,
+    )
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.isascii() and expected in proc.stdout.decode()
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,15 @@ class TestConflict:
         one = conflict(certain(f, 1), certain(f, 2))
         assert one == pytest.approx(1.0, abs=1e-12)
 
+    def test_equal_frames_score_as_one_frame(self):
+        twin = Frame(["a", "b", "c"])
+        assert twin == ABC and twin is not ABC
+        m1, m2 = MassFunction(ABC, {A: 0.5, AB: 0.5}), {B: 0.7, ABC.full_set: 0.3}
+        assert conflict(m1, MassFunction(twin, m2)) == conflict(m1, MassFunction(ABC, m2)) > 0.0
+        for other in (Frame(["a", "b", "d"]), Frame(["c", "b", "a"])):
+            with pytest.raises(FrameMismatch):
+                conflict(m1, MassFunction(other, m2))
+
     def test_nested_focal_sets_give_zero(self):
         m1 = MassFunction(ABC, {A: 0.5, AB: 0.5})
         m2 = MassFunction(ABC, {AB: 1.0})

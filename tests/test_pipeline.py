@@ -1,10 +1,8 @@
 """Per-message and per-user conflict aggregation, and the full analysis."""
 
-import importlib.util
 import math
 import random
 from math import fsum
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,7 +32,7 @@ from trolldetect.errors import (
 from trolldetect.simulate import example1, generate, spec_from_dict
 from trolldetect.thread import OFF_TOPIC, SENSELESS, thread_from_dict, topic_label
 
-from helpers import random_mass, random_thread
+from helpers import bench_workloads, random_mass, random_thread
 from oracles import (
     naive_message_conflict,
     naive_message_conflict_per_user,
@@ -636,16 +634,7 @@ class TestVictimEffect:
         assert user_conflict(grown, "A") <= user_conflict(base, "A")
 
 
-def _bench_workloads():
-    """The bench's seeded thread generators, loaded from their file."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _bench_workloads()
+workloads = bench_workloads()
 
 
 @st.composite
