@@ -51,16 +51,26 @@ MAX_FRAME_SIZE = 16
 
 class _Frozen:
     """What a frozen dataclass would give the package's value classes, without
-    importing ``dataclasses`` (and ``inspect`` through it) into every
-    command.  Fields are set once, in ``__init__``; ``==``, ``hash``,
-    ``repr`` and pickling read the fields named in ``__match_args__``, so a
-    field left out of it, such as ``MessageFrame.frame``, is derived."""
+    importing ``dataclasses`` (and ``inspect`` through it) into any command.
+    Fields are set once, in ``__init__``; ``==``, ``hash``, ``repr``, pickling
+    and ``_replace`` read the fields named in ``__match_args__``, so a field
+    left out of it, such as ``MessageFrame.frame``, is derived."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def _set(self, *values: object) -> None:
+        # Several times slower than inline stores: for classes built once per call.
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes: object):
+        """A copy with ``changes`` made, built (so checked) again through
+        ``__init__``, which refuses an unknown field with ``TypeError``."""
+        return type(self)(**{**dict(zip(self.__match_args__, self._astuple())), **changes})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -58,16 +58,16 @@ def _echo(text: str, err: bool = False) -> None:
         print(text, file=stream, flush=True)
 
 
-def _shown(uid: str) -> str:
-    r"""A user id as stdout prints it: plain when it is ASCII and holds no
-    ``"`` or ``\``, else as ``json.dumps`` writes it (``"\u054d3"``).  So
-    any stdout encoding can print it, two ids never print alike, and no id
-    prints as a plain ASCII id it is not."""
-    if uid.isascii() and '"' not in uid and "\\" not in uid:
-        return uid
+def _shown(name: str) -> str:
+    r"""A user id or path as stdout prints it: plain when it is ASCII and
+    holds no ``"`` or ``\``, else as ``json.dumps`` writes it
+    (``"\u054d3"``).  So any stdout encoding can print it, two ids never
+    print alike, and no id prints as a plain ASCII id it is not."""
+    if name.isascii() and '"' not in name and "\\" not in name:
+        return name
     import json
 
-    return json.dumps(uid)
+    return json.dumps(name)
 
 
 def _fail(code: int, message: str):
@@ -102,10 +102,8 @@ def simulate(scenario, spec_path, seed, out_path):
     else:
         spec = _load_or_exit(_cli.load_spec, spec_path, "scenario")
     if seed is not None:
-        from dataclasses import replace
-
         try:
-            spec = replace(spec, seed=seed)
+            spec = spec._replace(seed=seed)
         except BeliefError as exc:
             _fail(EXIT_INVALID, f"--seed {seed} is not valid: {exc}")
     thread = _cli.generate(spec)
@@ -118,7 +116,7 @@ def simulate(scenario, spec_path, seed, out_path):
     _write_or_exit(_cli.thread_to_json(thread, meta), out_path)
     _echo(
         f"wrote {len(thread.messages)} messages by {len(thread.users)} users "
-        f"to {out_path}"
+        f"to {_shown(out_path)}"
     )
 
 

@@ -13,10 +13,10 @@ split, and the result is a fixed point of Lloyd's assignment rule.
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
-from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum, isfinite
 
+from .belief import _Frozen
 from .errors import Degenerate
 
 __all__ = ["Partition2", "kmeans2"]
@@ -24,14 +24,14 @@ __all__ = ["Partition2", "kmeans2"]
 _SPREAD_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Partition2:
+class Partition2(_Frozen):
     """A two-way split of items, with the cluster centers that produced it."""
 
-    high: frozenset[Hashable]
-    low: frozenset[Hashable]
-    center_high: float
-    center_low: float
+    __slots__ = __match_args__ = ("high", "low", "center_high", "center_low")
+
+    def __init__(self, high: frozenset[Hashable], low: frozenset[Hashable],
+                 center_high: float, center_low: float):
+        self._set(high, low, center_high, center_low)
 
 
 def kmeans2(values: Mapping[Hashable, float]) -> Partition2:

@@ -22,13 +22,12 @@ groups and labels the higher-centered group as trolls.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import fsum
 from typing import Any
 
 import numpy as np
 
-from .belief import INTERNAL_TOLERANCE
+from .belief import INTERNAL_TOLERANCE, _Frozen
 from .clustering import kmeans2
 from .conflict import conflict
 from .errors import NoPriorMessages, SameUser
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(_Frozen):
     """Everything the detection run produced.
 
     ``per_message`` is indexed by rank minus one; ``per_user`` preserves
@@ -53,13 +51,14 @@ class ConflictReport:
     size, packing, pairs scored); ``to_dict`` leaves them out.
     """
 
-    per_message: tuple[float, ...]
-    per_user: dict[str, float]
-    trolls: frozenset[str]
-    others: frozenset[str]
-    troll_center: float
-    other_center: float
-    scoring: dict[str, Any]
+    __slots__ = __match_args__ = ("per_message", "per_user", "trolls", "others",
+                                  "troll_center", "other_center", "scoring")
+
+    def __init__(
+        self, per_message: tuple[float, ...], per_user: dict[str, float], trolls: frozenset[str],
+        others: frozenset[str], troll_center: float, other_center: float, scoring: dict[str, Any],
+    ):
+        self._set(per_message, per_user, trolls, others, troll_center, other_center, scoring)
 
     def to_dict(self) -> dict[str, Any]:
         roster = list(self.per_user)

@@ -16,12 +16,11 @@ import json
 import numbers
 import random
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any
 
-from .belief import MassFunction
+from .belief import MassFunction, _Frozen
 from .errors import InvalidSpec, InvalidThread, MassOutOfRange, RankOutOfBounds
 from .thread import Message, MessageFrame, Thread, _check_roster
 
@@ -50,18 +49,19 @@ CATEGORIES = frozenset({"relevant", "off_topic", "senseless", "controversy"})
 DEFAULT_CONCENTRATION = (0.75, 0.98)
 
 
-@dataclass(frozen=True, slots=True)
-class ScriptEntry:
+class ScriptEntry(_Frozen):
     """One scripted post.  ``topic`` is required for (and only for) the
     controversy category."""
 
-    author: str
-    category: str
-    topic: int | None = None
+    __slots__ = __match_args__ = ("author", "category", "topic")
+
+    def __init__(self, author: str, category: str, topic: int | None = None):
+        object.__setattr__(self, "author", author)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "topic", topic)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Frozen):
     """A complete recipe for one synthetic thread.
 
     Checked at construction: an invalid recipe raises ``InvalidSpec``
@@ -74,39 +74,36 @@ class ScenarioSpec:
     containers cannot change a checked spec.
     """
 
-    topic_count: int
-    relevant_topic: int
-    users: tuple[tuple[str, str], ...]  # (id, role)
-    script: tuple[ScriptEntry, ...]
-    seed: int = 0
-    concentration: tuple[float, float] = DEFAULT_CONCENTRATION
-    pins: Mapping[int, float] = field(default_factory=dict)  # rank -> dominant mass
+    __slots__ = __match_args__ = ("topic_count", "relevant_topic", "users", "script",
+                                  "seed", "concentration", "pins")
 
-    def __post_init__(self):
+    def __init__(
+        self, topic_count: int, relevant_topic: int, users: Iterable[tuple[str, str]],  # (id, role)
+        script: Iterable[ScriptEntry], seed: int = 0,
+        concentration: tuple[float, float] = DEFAULT_CONCENTRATION,
+        pins: Mapping[int, float] | Iterable[tuple[int, float]] = (),  # rank -> dominant mass
+    ):
         try:
-            users = tuple((uid, role) for uid, role in self.users)
+            users = tuple((uid, role) for uid, role in users)
         except (TypeError, ValueError):  # not iterable, or an entry not a pair
             raise InvalidSpec("users must be (id, role) pairs") from None
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "script", tuple(self.script))
-        if not self.script:
+        script = tuple(script)
+        if not script:
             raise InvalidSpec("empty script")
         try:
-            frame = MessageFrame(
-                topic_count=self.topic_count, relevant_topic=self.relevant_topic
-            )
-            _check_roster(self.user_ids(), [entry.author for entry in self.script])
+            frame = MessageFrame(topic_count=topic_count, relevant_topic=relevant_topic)
+            _check_roster([uid for uid, _ in users], [entry.author for entry in script])
         except InvalidThread as exc:
             raise InvalidSpec(str(exc)) from None
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:  # random.Random(-n) draws as random.Random(n) does
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        for uid, role in self.users:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise InvalidSpec(f"seed must be an integer, got {seed!r}")
+        if seed < 0:  # random.Random(-n) draws as random.Random(n) does
+            raise InvalidSpec(f"seed must be >= 0, got {seed}")
+        for uid, role in users:
             if not isinstance(role, str) or role not in ROLES:  # ["x"] is unhashable
                 raise InvalidSpec(f"unknown role {role!r} for {uid!r}")
         controversy = frame.controversy_topics()
-        for i, entry in enumerate(self.script):
+        for i, entry in enumerate(script):
             if not isinstance(entry.category, str) or entry.category not in CATEGORIES:
                 raise InvalidSpec(f"script entry {i}: unknown category {entry.category!r}")
             if entry.category == "controversy":
@@ -126,7 +123,7 @@ class ScenarioSpec:
                     f"script entry {i}: topic only applies to controversy entries"
                 )
         try:
-            lo, hi = concentration = tuple(self.concentration)
+            lo, hi = concentration = tuple(concentration)
         except (TypeError, ValueError):  # not iterable, or not two items
             raise InvalidSpec("concentration must be a (lo, hi) pair") from None
         # A Decimal compares with floats, but ``generate`` cannot draw between them.
@@ -136,19 +133,22 @@ class ScenarioSpec:
             raise InvalidSpec(
                 f"concentration must satisfy 0.5 < lo < hi < 1, got ({lo}, {hi})"
             )
-        object.__setattr__(self, "concentration", concentration)
-        items = self.pins.items() if isinstance(self.pins, Mapping) else self.pins
+        items = pins.items() if isinstance(pins, Mapping) else pins
         try:
             items = [(rank, mass) for rank, mass in items]
         except (TypeError, ValueError):  # not a mapping or (rank, mass) pairs
             raise InvalidSpec("pins must map ranks to masses") from None
         pins = {}
         for rank, mass in items:
-            _check_pin(rank, mass, len(self.script))  # before it is a key: True == 1
+            _check_pin(rank, mass, len(script))  # before it is a key: True == 1
             if rank in pins:
                 raise InvalidSpec(f"pinned rank {rank} appears more than once")
             pins[rank] = mass
-        object.__setattr__(self, "pins", MappingProxyType(pins))
+        pins = MappingProxyType(pins)
+        self._set(topic_count, relevant_topic, users, script, seed, concentration, pins)
+
+    def __reduce__(self) -> tuple:  # a mappingproxy neither pickles nor deep-copies
+        return type(self), (*self._astuple()[:-1], dict(self.pins))
 
     def user_ids(self) -> tuple[str, ...]:
         return tuple(uid for uid, _ in self.users)
@@ -175,8 +175,8 @@ def pin_masses(
     """A copy of the scenario with given ranks' dominant masses fixed.  The
     overrides pass ``ScenarioSpec``'s pin rules on their own (no rank
     twice), then replace the spec's pins for their ranks."""
-    overrides = replace(spec, pins=overrides).pins
-    return replace(spec, pins={**spec.pins, **overrides})
+    overrides = spec._replace(pins=overrides).pins
+    return spec._replace(pins={**spec.pins, **overrides})
 
 
 def _category_set(frame: MessageFrame, entry: ScriptEntry) -> int:

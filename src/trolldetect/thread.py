@@ -180,9 +180,7 @@ class Thread(_Frozen):
                 f"ranks must be exactly 1..{len(messages)} with no gaps: "
                 f"{len(misplaced)} out of place, first rank {rank!r} at position {position}"
             )
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "messages", messages)
+        self._set(frame, users, messages)
 
     def message(self, rank: int) -> Message:
         try:  # any integer but a bool, numpy's included

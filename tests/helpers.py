@@ -12,7 +12,6 @@ import random
 import string
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -311,7 +310,7 @@ def _near_threads(draw):
 def _specs(draw):
     """A built-in scenario's document with a drawn seed."""
     spec = draw(st.sampled_from([example1(), example2()]))
-    return spec_to_dict(replace(spec, seed=draw(st.integers(0, 2**32))))
+    return spec_to_dict(spec._replace(seed=draw(st.integers(0, 2**32))))
 
 
 @st.composite

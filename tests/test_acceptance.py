@@ -7,7 +7,6 @@ line per criterion.  Tolerances are fixed here, not configurable.
 import json
 import random
 import time
-from dataclasses import replace
 
 from trolldetect import (
     MassFunction,
@@ -208,10 +207,10 @@ def test_criterion_7_clustering_optimality():
 
 def test_criterion_8_robustness_sweep():
     failures = []
-    unpinned = replace(example1(), pins={})
+    unpinned = example1()._replace(pins={})
     hits = 0
     for seed in range(100):
-        report = analyze(generate(replace(unpinned, seed=seed)))
+        report = analyze(generate(unpinned._replace(seed=seed)))
         if report.trolls == frozenset({"U4"}):
             hits += 1
     if hits < 95:

@@ -9,7 +9,6 @@ import random
 import re
 import subprocess
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -395,7 +394,7 @@ def test_an_accepted_id_prints_as_one_token(seed, renamed, uid):
     and score and the trolls and others lines into the report's lists.  A
     token is ASCII and reads back as its id (``json.loads`` when quoted),
     and distinct ids give distinct tokens."""
-    document = thread_to_dict(generate(replace(example1(), seed=seed)))
+    document = thread_to_dict(generate(example1()._replace(seed=seed)))
     document["users"] = [uid if u == renamed else u for u in document["users"]]
     for message in document["messages"]:
         message["author"] = uid if message["author"] == renamed else message["author"]
@@ -452,6 +451,18 @@ def test_a_non_ascii_id_prints_escaped_on_an_ascii_stdout(tmp_path, command, exp
     )
     assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
     assert proc.stdout.isascii() and expected in proc.stdout.decode()
+
+
+def test_a_non_ascii_out_path_prints_escaped_on_an_ascii_stdout(tmp_path):
+    """The file is written, and its name prints as its JSON string, so an
+    ASCII stdout takes the line and the command exits 0."""
+    proc = run_interpreter(
+        ["-m", "trolldetect", "simulate", "--scenario", "example1", "--out", "\u00fc.json"],
+        env={"PYTHONIOENCODING": "ascii"}, capture_output=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
+    assert (tmp_path / "\u00fc.json").is_file()
+    assert proc.stdout == b'wrote 16 messages by 4 users to "\\u00fc.json"\n'
 
 
 @pytest.mark.parametrize(
@@ -648,8 +659,9 @@ DATACLASSES = {"dataclasses", "inspect"}  # inspect comes with dataclasses, and 
         (["--help"], SCORING | DATACLASSES | {"trolldetect.thread", "trolldetect.simulate", "click"}),
         (["conflict", "--thread", "{file}", "--a", "5", "--b", "1"],
          SCORING | DATACLASSES | {"trolldetect.simulate", "click"}),
-        (["simulate", "--scenario", "example1", "--out", "{out}"], SCORING - {"numpy"} | {"click"}),
-        (["detect", "--thread", "{file}"], {"trolldetect.simulate", "click"}),
+        (["simulate", "--scenario", "example1", "--out", "{out}"],
+         SCORING - {"numpy"} | DATACLASSES | {"click"}),
+        (["detect", "--thread", "{file}"], {"trolldetect.simulate", "dataclasses", "click"}),
     ],
     ids=["version", "help", "conflict", "simulate", "detect"],
 )
@@ -833,7 +845,7 @@ print("run returned")
         # At 2 000 messages the numpy import and scoring would trigger
         # collections if the collector ran.
         spec = example1()
-        thread = generate(replace(spec, script=spec.script * 125))
+        thread = generate(spec._replace(script=spec.script * 125))
         assert len(thread.messages) == 2000
         thread_path = tmp_path / "thread.json"
         thread_path.write_text(thread_to_json(thread))

@@ -1,7 +1,6 @@
 """Scenario validation, deterministic generation, and the built-in examples."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -360,7 +359,7 @@ class TestGeneration:
 
     def test_different_seed_different_masses(self):
         spec = tiny_spec()
-        other = generate(replace(spec, seed=8))
+        other = generate(spec._replace(seed=8))
         assert generate(spec) != other
 
     def test_every_bba_is_two_focal_and_exactly_normalized(self):

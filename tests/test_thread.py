@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import random
+import re
 import stat
 import sys
 import threading
@@ -33,7 +34,9 @@ from trolldetect import (
     thread_to_json,
 )
 from trolldetect.cli import main
-from trolldetect.simulate import load_spec
+from trolldetect.clustering import Partition2, kmeans2
+from trolldetect.pipeline import ConflictReport
+from trolldetect.simulate import ScenarioSpec, ScriptEntry, load_spec
 from trolldetect.thread import _dumps, write_json_atomic
 from trolldetect.errors import (
     BeliefError,
@@ -256,9 +259,35 @@ class TestThreadValidation:
             t.ranks_by("U9")
 
 
+def _fields(obj, *names):
+    return {name: getattr(obj, name) for name in names}
+
+
+_SCRIPT1 = ", ".join(
+    f"ScriptEntry(author='{author}', category='{category}', topic={topic})"
+    for author, category, topic in (
+        ("U3", "relevant", None), ("U1", "relevant", None), ("U2", "relevant", None),
+        ("U3", "relevant", None), ("U4", "controversy", 2), ("U1", "controversy", 2),
+        ("U2", "controversy", 2), ("U3", "relevant", None), ("U1", "relevant", None),
+        ("U2", "relevant", None), ("U4", "senseless", None), ("U1", "relevant", None),
+        ("U2", "relevant", None), ("U4", "controversy", 2), ("U1", "relevant", None),
+        ("U2", "relevant", None),
+    )
+)
+
+def _repr(obj):
+    """``repr(obj)`` with each frozenset's items sorted, as a frozenset of
+    several strings prints them in an order that varies with the hash seed."""
+    return re.sub(
+        r"frozenset\(\{([^}]*)\}\)",
+        lambda m: f"frozenset({{{', '.join(sorted(m.group(1).split(', ')))}}})",
+        repr(obj),
+    )
+
+
 # Each value class, its fields by keyword, and its repr, which matches the
-# frozen dataclass each thread class was before byte for byte (``Frame``
-# keeps its own).
+# frozen dataclass each class but ``Frame`` was before byte for byte
+# (``Frame`` keeps its own; ``_repr`` sorts a frozenset's items).
 VALUE_CLASSES = {
     "Frame": (Frame, {"labels": ("a", "b")}, "Frame(['a', 'b'])"),
     "MessageFrame": (
@@ -278,13 +307,50 @@ VALUE_CLASSES = {
         "Message(author='U1', rank=1, bba=MassFunction({Topic_1}: 1)), "
         "Message(author='U2', rank=2, bba=MassFunction({Topic_1}: 1))))",
     ),
+    "ScriptEntry": (
+        ScriptEntry,
+        {"author": "U4", "category": "controversy", "topic": 2},
+        "ScriptEntry(author='U4', category='controversy', topic=2)",
+    ),
+    "ScenarioSpec": (
+        ScenarioSpec,
+        _fields(example1(), "topic_count", "relevant_topic", "users", "script", "seed",
+                "concentration", "pins"),
+        "ScenarioSpec(topic_count=2, relevant_topic=1, users=(('U1', 'victim'), ('U2', 'victim'), "
+        f"('U3', 'expert'), ('U4', 'troll')), script=({_SCRIPT1}), seed=1, concentration=(0.75, 0.98), "
+        "pins=mappingproxy({1: 0.9732, 4: 0.7782, 5: 0.921, 8: 0.9632, 11: 0.9716, 14: 0.8387}))",
+    ),
+    "Partition2": (
+        Partition2,
+        _fields(kmeans2({"a": 0.0, "b": 1.0}), "high", "low", "center_high", "center_low"),
+        "Partition2(high=frozenset({'b'}), low=frozenset({'a'}), center_high=1.0, center_low=0.0)",
+    ),
+    "ConflictReport": (
+        ConflictReport,
+        _fields(analyze(generate(example1())), "per_message", "per_user", "trolls", "others",
+                "troll_center", "other_center", "scoring"),
+        "ConflictReport(per_message=(0.0, 0.006125016739003353, 0.0072284363506971315, "
+        "0.034010757704890274, 0.4574808008653466, 0.3318758229418237, 0.27336168201001854, "
+        "0.28109579727375356, 0.16111261387058512, 0.13824665255142043, 0.46370713485140386, "
+        "0.1802301710735516, 0.1650948347983773, 0.3532925078154259, 0.18817844979182302, "
+        "0.1756404633946163), per_user={'U1': 0.17350441488335738, 'U2': 0.15191441382102594, "
+        "'U3': 0.1050355183262146, 'U4': 0.42482681451072546}, trolls=frozenset({'U4'}), "
+        "others=frozenset({'U1', 'U2', 'U3'}), troll_center=0.42482681451072546, "
+        "other_center=0.14348478234353265, scoring={'messages': 16, 'users': 4, 'vocabulary': 4, "
+        "'packing': 'vocabulary', 'pairs': 94})",
+    ),
 }
+# The type ``hash`` refuses in the classes that hold one; the others hash their fields.
+# A mappingproxy hashes the mapping it wraps from Python 3.12 on, so the spec's
+# pins fail as a ``dict`` there and as a ``mappingproxy`` before.
+UNHASHABLE = {Message: "MassFunction", Thread: "MassFunction",
+              ScenarioSpec: "(mappingproxy|dict)", ConflictReport: "dict"}
 
 
 @pytest.mark.parametrize("cls, values, text", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
 class TestValueClassContract:
-    """The frozen-dataclass behaviour ``Frame``, ``MessageFrame``,
-    ``Message`` and ``Thread`` share as plain slotted classes."""
+    """The frozen-dataclass behaviour the package's value classes share as
+    plain slotted classes over ``belief._Frozen``."""
 
     def test_construction_by_position_and_by_keyword(self, cls, values, text):
         by_keyword, by_position = cls(**values), cls(*values.values())
@@ -303,14 +369,14 @@ class TestValueClassContract:
 
     def test_hash(self, cls, values, text):
         obj = cls(**values)
-        if cls in (Frame, MessageFrame):
-            assert hash(obj) == hash(cls(**values)) == hash(tuple(values.values()))
-        else:
-            with pytest.raises(TypeError, match="unhashable type: 'MassFunction'"):
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError, match=f"unhashable type: '{UNHASHABLE[cls]}'"):
                 hash(obj)
+        else:
+            assert hash(obj) == hash(cls(**values)) == hash(tuple(values.values()))
 
     def test_repr_matches_the_dataclass_repr(self, cls, values, text):
-        assert repr(cls(**values)) == text
+        assert _repr(cls(**values)) == text
 
     def test_every_field_is_read_only_and_there_is_no_instance_dict(self, cls, values, text):
         obj = cls(**values)
@@ -319,13 +385,34 @@ class TestValueClassContract:
                 setattr(obj, name, None)
             with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
                 delattr(obj, name)
-        assert repr(obj) == text
+        assert _repr(obj) == text
         assert not hasattr(obj, "__dict__")
 
     def test_copies_and_pickle_round_trip_equal(self, cls, values, text):
         obj = cls(**values)
         for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert type(clone) is cls and clone == obj and repr(clone) == text
+            assert type(clone) is cls and clone == obj and _repr(clone) == text
+
+    def test_replace_builds_through_the_constructor(self, cls, values, text):
+        obj = cls(**values)
+        assert type(obj._replace()) is cls and obj._replace() == obj and _repr(obj._replace()) == text
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            obj._replace(extra=None)
+
+
+def test_a_replaced_field_is_checked_as_the_constructor_checks_it():
+    spec = example1()
+    changed = spec._replace(seed=5)
+    assert changed._astuple() == (*spec._astuple()[:4], 5, *spec._astuple()[5:])
+    with pytest.raises(InvalidSpec) as replaced:
+        spec._replace(seed=-1)
+    with pytest.raises(InvalidSpec) as built:
+        ScenarioSpec(**{**VALUE_CLASSES["ScenarioSpec"][1], "seed": -1})
+    assert str(replaced.value) == str(built.value) == "seed must be >= 0, got -1"
+    with pytest.raises(InvalidThread, match="^topic_count must be"):
+        MF._replace(topic_count=0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'frame'"):
+        MF._replace(frame=MF.frame)  # derived, so not a field to replace
 
 
 def _values(messages):
