@@ -16,6 +16,7 @@ import math
 import numbers
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 from .errors import (
     DuplicateSubset,
@@ -90,8 +91,8 @@ class _Frozen:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self) -> tuple:
-        return type(self), self._astuple()
+    def __reduce__(self) -> tuple:  # a mappingproxy neither pickles nor deep-copies
+        return type(self), tuple([dict(v) if type(v) is MappingProxyType else v for v in self._astuple()])
 
 
 class Frame(_Frozen):

@@ -140,7 +140,7 @@ def detect(thread_path, json_path):
                 "version": __version__,
                 "input": str(thread_path),
                 "elapsed_seconds": elapsed,
-                "scoring": report.scoring,
+                "scoring": dict(report.scoring),
             },
             "report": summary,
         }

@@ -16,12 +16,10 @@ from collections.abc import Hashable, Mapping
 from itertools import accumulate
 from math import fsum, isfinite
 
-from .belief import _Frozen
+from .belief import INTERNAL_TOLERANCE, _Frozen
 from .errors import Degenerate
 
 __all__ = ["Partition2", "kmeans2"]
-
-_SPREAD_EPS = 1e-12
 
 
 class Partition2(_Frozen):
@@ -52,7 +50,7 @@ def kmeans2(values: Mapping[Hashable, float]) -> Partition2:
         if not isfinite(v):
             raise Degenerate(f"item {key!r} has the value {v!r}, which is not finite")
     ordered = sorted(v for _, v in items)
-    if ordered[-1] - ordered[0] <= _SPREAD_EPS:
+    if ordered[-1] - ordered[0] <= INTERNAL_TOLERANCE:
         raise Degenerate("all values are numerically identical")
 
     count = len(ordered)

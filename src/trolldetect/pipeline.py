@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import fsum
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -45,10 +46,10 @@ __all__ = [
 class ConflictReport(_Frozen):
     """Everything the detection run produced.
 
-    ``per_message`` is indexed by rank minus one; ``per_user`` preserves
-    roster order.  ``trolls`` is the cluster with the higher center.
-    ``scoring`` holds the kernel's counters (messages, users, vocabulary
-    size, packing, pairs scored); ``to_dict`` leaves them out.
+    ``per_message`` is indexed by rank minus one; ``per_user``, read-only
+    like ``scoring``, keeps roster order.  ``trolls`` is the higher-centered
+    cluster.  ``scoring`` holds the kernel's counters (messages, users,
+    vocabulary size, packing, pairs scored); ``to_dict`` leaves them out.
     """
 
     __slots__ = __match_args__ = ("per_message", "per_user", "trolls", "others",
@@ -58,7 +59,8 @@ class ConflictReport(_Frozen):
         self, per_message: tuple[float, ...], per_user: dict[str, float], trolls: frozenset[str],
         others: frozenset[str], troll_center: float, other_center: float, scoring: dict[str, Any],
     ):
-        self._set(per_message, per_user, trolls, others, troll_center, other_center, scoring)
+        self._set(per_message, MappingProxyType(dict(per_user)), trolls, others,
+                  troll_center, other_center, MappingProxyType(dict(scoring)))
 
     def to_dict(self) -> dict[str, Any]:
         roster = list(self.per_user)

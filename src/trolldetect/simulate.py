@@ -147,9 +147,6 @@ class ScenarioSpec(_Frozen):
         pins = MappingProxyType(pins)
         self._set(topic_count, relevant_topic, users, script, seed, concentration, pins)
 
-    def __reduce__(self) -> tuple:  # a mappingproxy neither pickles nor deep-copies
-        return type(self), (*self._astuple()[:-1], dict(self.pins))
-
     def user_ids(self) -> tuple[str, ...]:
         return tuple(uid for uid, _ in self.users)
 
@@ -179,16 +176,6 @@ def pin_masses(
     return spec._replace(pins={**spec.pins, **overrides})
 
 
-def _category_set(frame: MessageFrame, entry: ScriptEntry) -> int:
-    if entry.category == "relevant":
-        return frame.relevant_set()
-    if entry.category == "off_topic":
-        return frame.off_topic_set()
-    if entry.category == "senseless":
-        return frame.senseless_set()
-    return frame.topic_set(entry.topic)
-
-
 def generate(spec: ScenarioSpec) -> Thread:
     """Deterministically expand a scenario into a thread.
 
@@ -199,15 +186,17 @@ def generate(spec: ScenarioSpec) -> Thread:
     full = frame.frame.full_set
     lo, hi = spec.concentration
     rng = random.Random(spec.seed)
-    focal_sets: dict[tuple[str, int | None], int] = {}  # (category, topic) -> mask
+    focal_sets = {  # (category, topic) -> mask, for every pair ScenarioSpec allows
+        ("relevant", None): frame.relevant_set(),
+        ("off_topic", None): frame.off_topic_set(),
+        ("senseless", None): frame.senseless_set(),
+        **{("controversy", j): frame.topic_set(j) for j in frame.controversy_topics()},
+    }
     messages = []
     for rank, entry in enumerate(spec.script, start=1):
         dominant = rng.uniform(lo, hi)
         dominant = spec.pins.get(rank, dominant)
-        key = (entry.category, entry.topic)
-        focal = focal_sets.get(key)
-        if focal is None:
-            focal = focal_sets[key] = _category_set(frame, entry)
+        focal = focal_sets[entry.category, entry.topic]
         bba = MassFunction(frame.frame, [(focal, dominant), (full, 1.0 - dominant)])
         messages.append(Message(author=entry.author, rank=rank, bba=bba))
     return Thread(frame=frame, users=spec.user_ids(), messages=tuple(messages))

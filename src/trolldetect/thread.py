@@ -272,28 +272,25 @@ def thread_to_json(thread: Thread, meta: Any = None) -> str:
     Each message's line is formatted straight from the thread, through a
     ``%``-template per tuple of focal sets that holds their label lists.
     Ranks are ``int`` and masses finite ``float``, whose ``repr`` is what
-    ``json`` writes for them, so masses read back bit for bit.  Each
-    author's JSON and each template are built once per call.
+    ``json`` writes for them, so masses read back bit for bit.  Every
+    user's JSON is built up front, and each template once per call.
     """
     frame = thread.frame.frame
-    authors: dict[str, str] = {}  # author -> its JSON string
+    authors = {uid: json.dumps(uid) for uid in thread.users}  # every author is on the roster
     templates: dict[tuple[int, ...], str] = {}  # focal sets -> message template
     lines = []
     for msg in thread.messages:
-        author = authors.get(msg.author)
-        if author is None:
-            author = authors[msg.author] = json.dumps(msg.author)
         focal = msg.bba.focal_sets()
         template = templates.get(focal)
         if template is None:
             sets = [json.dumps(list(frame.members(s))).replace("%", "%%") for s in focal]
             bba = ", ".join([f'{{"set": {labels}, "mass": %r}}' for labels in sets])
             template = templates[focal] = f'{{"rank": %d, "author": %s, "bba": [{bba}]}}'
-        lines.append(template % (msg.rank, author, *msg.bba.masses()))
+        lines.append(template % (msg.rank, authors[msg.author], *msg.bba.masses()))
     fields = [
         _field("topic_count", thread.frame.topic_count),
         _field("relevant_topic", thread.frame.relevant_topic),
-        _list_field("users", [authors[uid] for uid in thread.users]),  # all post
+        _list_field("users", list(authors.values())),
         _list_field("messages", lines),
     ]
     if meta is not None:

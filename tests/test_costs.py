@@ -1,8 +1,8 @@
 """Deterministic costs held to stated bounds: what loading and scoring CI's
-2 000-message thread, and scoring its ragged variant, allocate, by
-``tracemalloc``.
+2 000-message thread, scoring its ragged variant and loading the bench's
+bulk file allocate, by ``tracemalloc``, and the scoring counters.
 
-Each bound is the value measured before this module existed times the slack
+Each bound is the value measured before the bound was added times the slack
 written beside it.  The values were measured on Linux x86-64 with Python
 3.11.7 and numpy 2.4.6, one traced call each, as the tests below make it.
 Loading allocates the same objects on every Python the package supports
@@ -28,6 +28,16 @@ MB = 1_000_000
 # which moved by up to 0.11 MB between repeated loads in one process.
 LOAD_PEAK = 3.24 * MB * 1.3
 LOAD_RETAINED = 0.70 * MB * 1.5
+# load_thread of the bulk file: peaked at 12.21 MB and retained 2.81 MB
+# (3.10.13: 13.36-13.38 MB and 2.81 MB; 3.12.1 and 3.13.0: 11.68-11.70 MB and
+# 2.60 MB), stable to 0.02 MB over three loads in one process.  Slack 1.3 on
+# the peak and 1.5 on the retained size, as for the 2 000-message thread.
+BULK_LOAD_PEAK = 12.21 * MB * 1.3
+BULK_LOAD_RETAINED = 2.81 * MB * 1.5
+# The kernel's counters on the 2 000-message thread; ``pairs`` equals a plain
+# count of the earlier messages by other authors, summed over the messages.
+SCORING = {"messages": 2000, "users": 1250, "vocabulary": 4, "packing": "vocabulary",
+           "pairs": 1997842}
 # _score_rows over every row: peaked at 1.05 MB (vocabulary packing, K = 4;
 # the tiles are bounded by _BLOCK_ENTRIES).  Slack 1.3.
 SCORE_PEAK = 1.05 * MB * 1.3
@@ -42,6 +52,16 @@ def scaled_file(tmp_path_factory):
     375)``, as ``thread_to_json`` writes it."""
     spec = bench_workloads().scaled_example1_spec(7, 2000, 125, 750, 375)
     path = tmp_path_factory.mktemp("costs") / "scaled.json"
+    path.write_text(thread_to_json(generate(spec_from_dict(spec))))
+    return path
+
+
+@pytest.fixture(scope="module")
+def bulk_file(tmp_path_factory):
+    """The bench's bulk file, ``scaled_example1_spec(1, 8000, 400, 2400,
+    1200)``, as ``thread_to_json`` writes it (1 529 474 bytes)."""
+    spec = bench_workloads().scaled_example1_spec(1, 8000, 400, 2400, 1200)
+    path = tmp_path_factory.mktemp("costs") / "bulk.json"
     path.write_text(thread_to_json(generate(spec_from_dict(spec))))
     return path
 
@@ -82,14 +102,22 @@ def test_loading_the_2000_message_thread(scaled_file):
     assert retained <= LOAD_RETAINED, f"retained {retained / MB:.2f} MB"
 
 
+def test_loading_the_bulk_file(bulk_file):
+    assert bulk_file.stat().st_size == 1_529_474
+    thread, retained, peak = _traced(lambda: load_thread(bulk_file))
+    assert len(thread.messages) == 8000
+    assert peak <= BULK_LOAD_PEAK, f"peak {peak / MB:.2f} MB"
+    assert retained <= BULK_LOAD_RETAINED, f"retained {retained / MB:.2f} MB"
+
+
 def test_scoring_the_2000_message_thread(scaled_file):
     thread = load_thread(scaled_file)
     (_, scoring), _, peak = _traced(lambda: pipeline._score_rows(thread, range(1, 2001)))
-    assert (scoring["packing"], scoring["vocabulary"]) == ("vocabulary", 4)
+    assert scoring == SCORING
     assert peak <= SCORE_PEAK, f"peak {peak / MB:.2f} MB"
 
 
 def test_scoring_the_ragged_thread(ragged_thread):
     (_, scoring), _, peak = _traced(lambda: pipeline._score_rows(ragged_thread, range(1, 2001)))
-    assert (scoring["packing"], scoring["vocabulary"]) == ("vocabulary", 68)
+    assert scoring == {**SCORING, "vocabulary": 68}
     assert peak <= RAGGED_SCORE_PEAK, f"peak {peak / MB:.2f} MB"

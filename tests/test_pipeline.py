@@ -275,6 +275,23 @@ class TestAnalyze:
             second.other_center,
         )
 
+    def test_report_mappings_are_read_only_copies(self):
+        report = analyze(generate(example1()))
+        summary, scoring = report.to_dict(), dict(report.scoring)
+        for mapping, key in ((report.per_user, "U4"), (report.scoring, "pairs")):
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                mapping[key] = 0.0
+        given_per_user, given_scoring = dict(report.per_user), dict(report.scoring)
+        built = pipeline.ConflictReport(
+            report.per_message, given_per_user, report.trolls, report.others,
+            report.troll_center, report.other_center, given_scoring,
+        )
+        given_per_user["U4"] = 0.0
+        given_scoring.clear()
+        assert built == report
+        assert built.to_dict() == report.to_dict() == summary
+        assert dict(built.scoring) == dict(report.scoring) == scoring
+
     def test_identical_messages_degenerate(self):
         t = build(
             ("A", certain(T1)),

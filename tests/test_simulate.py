@@ -375,16 +375,20 @@ class TestGeneration:
             dominant = max(m for _, m in msg.bba.items())
             assert 0.6 <= dominant <= 0.7
 
-    def test_categories_map_to_expected_singletons(self):
+    @pytest.mark.parametrize(
+        "topic_count, relevant_topic", [(1, 1), (3, 2), (14, 1), (14, 7), (14, 14)]
+    )
+    def test_categories_map_to_expected_singletons(self, topic_count, relevant_topic):
+        controversy = [j for j in range(1, topic_count + 1) if j != relevant_topic]
         spec = ScenarioSpec(
-            topic_count=3,
-            relevant_topic=2,
+            topic_count=topic_count,
+            relevant_topic=relevant_topic,
             users=(("A", "expert"), ("B", "troll")),
             script=(
                 ScriptEntry("A", "relevant"),
                 ScriptEntry("B", "off_topic"),
                 ScriptEntry("B", "senseless"),
-                ScriptEntry("B", "controversy", 3),
+                *(ScriptEntry("B", "controversy", j) for j in controversy),
             ),
             seed=1,
         )
@@ -394,10 +398,10 @@ class TestGeneration:
             max(m.bba.items(), key=lambda kv: kv[1])[0] for m in t.messages
         ]
         assert dominant_sets == [
-            frame.topic_set(2),
+            frame.topic_set(relevant_topic),
             frame.off_topic_set(),
             frame.senseless_set(),
-            frame.topic_set(3),
+            *(frame.topic_set(j) for j in controversy),
         ]
 
 

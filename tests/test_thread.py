@@ -287,7 +287,8 @@ def _repr(obj):
 
 # Each value class, its fields by keyword, and its repr, which matches the
 # frozen dataclass each class but ``Frame`` was before byte for byte
-# (``Frame`` keeps its own; ``_repr`` sorts a frozenset's items).
+# (``Frame`` keeps its own, a report's mappings print as ``mappingproxy`` since
+# they became read-only, and ``_repr`` sorts a frozenset's items).
 VALUE_CLASSES = {
     "Frame": (Frame, {"labels": ("a", "b")}, "Frame(['a', 'b'])"),
     "MessageFrame": (
@@ -333,18 +334,19 @@ VALUE_CLASSES = {
         "0.034010757704890274, 0.4574808008653466, 0.3318758229418237, 0.27336168201001854, "
         "0.28109579727375356, 0.16111261387058512, 0.13824665255142043, 0.46370713485140386, "
         "0.1802301710735516, 0.1650948347983773, 0.3532925078154259, 0.18817844979182302, "
-        "0.1756404633946163), per_user={'U1': 0.17350441488335738, 'U2': 0.15191441382102594, "
-        "'U3': 0.1050355183262146, 'U4': 0.42482681451072546}, trolls=frozenset({'U4'}), "
-        "others=frozenset({'U1', 'U2', 'U3'}), troll_center=0.42482681451072546, "
-        "other_center=0.14348478234353265, scoring={'messages': 16, 'users': 4, 'vocabulary': 4, "
-        "'packing': 'vocabulary', 'pairs': 94})",
+        "0.1756404633946163), per_user=mappingproxy({'U1': 0.17350441488335738, "
+        "'U2': 0.15191441382102594, 'U3': 0.1050355183262146, 'U4': 0.42482681451072546}), "
+        "trolls=frozenset({'U4'}), others=frozenset({'U1', 'U2', 'U3'}), "
+        "troll_center=0.42482681451072546, other_center=0.14348478234353265, "
+        "scoring=mappingproxy({'messages': 16, 'users': 4, 'vocabulary': 4, "
+        "'packing': 'vocabulary', 'pairs': 94}))",
     ),
 }
 # The type ``hash`` refuses in the classes that hold one; the others hash their fields.
 # A mappingproxy hashes the mapping it wraps from Python 3.12 on, so the spec's
-# pins fail as a ``dict`` there and as a ``mappingproxy`` before.
+# pins and the report's scores fail as a ``dict`` there and as a ``mappingproxy`` before.
 UNHASHABLE = {Message: "MassFunction", Thread: "MassFunction",
-              ScenarioSpec: "(mappingproxy|dict)", ConflictReport: "dict"}
+              ScenarioSpec: "(mappingproxy|dict)", ConflictReport: "(mappingproxy|dict)"}
 
 
 @pytest.mark.parametrize("cls, values, text", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
